@@ -1,6 +1,6 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos bench bench-gca bench-smoke bench-wire bench-federation bench-latency bench-storage lint-wire lint-latency lint-storage obs test-federation test-storage
+.PHONY: verify build test clippy fmt loc chaos bench bench-gca bench-smoke bench-wire bench-federation bench-latency bench-storage lint-wire lint-latency lint-storage obs test-federation test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
@@ -30,6 +30,16 @@ clippy:
 # them).
 fmt:
 	cargo fmt --check
+
+# The line count the ROADMAP tracks: lines of `.rs` files under src/,
+# crates/ and examples/, leaving out tests/ and benches/ directories and,
+# in every file, everything from its first `#[cfg(test)]` line on (the
+# in-file unit-test modules sit at the end). vendor/ (third-party
+# stand-ins) and perfbench/ (the benchmark harness) are not counted.
+loc:
+	@find src crates examples -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' \
+		-exec awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' {} \; \
+		| awk '{ s += $$1 } END { print s }'
 
 # The chaos gate: the deterministic fault-injection matrix (five fault
 # kinds x four endpoints x reboot modes, each asserting bit-identical

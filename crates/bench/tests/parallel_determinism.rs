@@ -2,18 +2,24 @@
 //! out over worker threads changes wall-clock time and *nothing else*.
 //!
 //! Every per-participant quantity is derived from per-participant seeds
-//! before the fan-out, and the shared cloud isolates users from each other
-//! (order-dependent server-side artefacts — token strings, user-id
-//! assignment — never feed back into a participant's results). This test
-//! pins that down: a 4-thread run must equal a sequential run field by
-//! field, including the floating-point energy totals.
+//! before the fan-out, and the shared cloud derives user ids and tokens
+//! from device identity rather than arrival order. These tests pin that
+//! down: a 4-thread run must equal a sequential run field by field,
+//! including the floating-point energy totals, and the cloud's user ids,
+//! live tokens and per-shard counters must not depend on the thread
+//! count.
 
-use pmware_bench::deployment::{run_study, StudyConfig};
-use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
+use std::collections::BTreeMap;
+
+use pmware_bench::deployment::{run_study, run_study_with_admission, StudyConfig};
+use pmware_bench::parallel::parallel_map;
+use pmware_cloud::{
+    AdmissionConfig, CellDatabase, CloudInstance, RateBudget, Request, SharedCloud, UserId,
+};
 use pmware_core::CloudClient;
 use pmware_world::builder::RegionProfile;
 use pmware_world::tower::NetworkLayer;
-use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
+use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimDuration, SimTime};
 
 fn config(threads: usize) -> StudyConfig {
     StudyConfig {
@@ -59,6 +65,105 @@ fn oversubscribed_pool_is_still_identical() {
     let sequential = run_study(&config(1));
     let oversubscribed = run_study(&config(16));
     assert_eq!(sequential, oversubscribed);
+}
+
+/// The cloud side of a session is schedule-free: twelve clients racing
+/// through registration, re-registration and token refresh on 1, 2 and
+/// 8 threads leave byte-identical metrics (per-shard counters included)
+/// and the same identity → (user id, live token) map.
+#[test]
+fn user_ids_tokens_and_shard_counters_ignore_the_thread_count() {
+    let drive = |threads: usize| {
+        let obs = pmware_obs::Obs::new();
+        let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::new(), 11).with_obs(&obs));
+        let sessions = parallel_map((0..12u32).collect(), threads, |n| {
+            let (imei, email) = (format!("imei-{n}"), format!("p{n}@x.y"));
+            let start = SimTime::from_seconds(u64::from(n));
+            let mut client =
+                CloudClient::register(cloud.clone(), &imei, &email, start).expect("register");
+            if n % 3 == 0 {
+                client
+                    .reregister(&imei, &email, start)
+                    .expect("re-register");
+            }
+            let later = start + SimDuration::from_hours(23);
+            for _ in 0..=n % 4 {
+                client
+                    .get("/api/v1/places", later)
+                    .expect("authenticated read");
+            }
+            assert!(client
+                .refresh_if_needed(later, SimDuration::from_hours(2))
+                .expect("refresh"));
+            let state = client.state();
+            ((imei, email), (state.user, state.token))
+        });
+        // Read the sessions back from the cloud: each live token
+        // authenticates, and re-registering names the same user.
+        let end = SimTime::from_seconds(30 * 3_600);
+        for ((imei, email), (user, token)) in &sessions {
+            let places = cloud.handle(&Request::get("/api/v1/places").with_token(token), end);
+            assert!(places.is_success(), "{places:?}");
+            let again = cloud.handle(
+                &Request::post(
+                    "/api/v1/registration",
+                    serde_json::json!({"imei": imei, "email": email}),
+                ),
+                end,
+            );
+            assert_eq!(again.json()["user"], serde_json::json!(user.0));
+        }
+        let sessions: BTreeMap<(String, String), (UserId, String)> = sessions.into_iter().collect();
+        (sessions, obs.metrics_json().expect("registry is live"))
+    };
+    let (sessions, metrics) = drive(1);
+    assert!(
+        metrics.contains("cloud_shard_requests_total"),
+        "per-shard counters belong in the shared snapshot: {metrics}"
+    );
+    for threads in [2, 8] {
+        let (other_sessions, other_metrics) = drive(threads);
+        assert_eq!(
+            sessions, other_sessions,
+            "user ids or tokens depend on the thread count ({threads})"
+        );
+        assert_eq!(
+            metrics, other_metrics,
+            "metrics snapshot depends on the thread count ({threads})"
+        );
+    }
+}
+
+/// Admission control is schedule-free too: each bucket's refill phase
+/// hashes the user id, which derives from identity, so a tight budget
+/// sheds the same requests on 1 and 2 threads.
+#[test]
+fn admission_denials_ignore_the_thread_count() {
+    let throttled = |threads: usize| {
+        let obs = pmware_obs::Obs::new();
+        let budget =
+            AdmissionConfig::uniform(99, RateBudget::new(2, SimDuration::from_seconds(30)));
+        let results = run_study_with_admission(
+            &StudyConfig {
+                obs: obs.clone(),
+                ..config(threads)
+            },
+            Some(budget),
+        );
+        let snapshot = obs.metrics().expect("registry is live").snapshot();
+        let denials = snapshot.counter_sum_with_prefix("cloud_admission_denied_total");
+        (
+            results,
+            denials,
+            obs.metrics_json().expect("registry is live"),
+        )
+    };
+    let (sequential, denials, metrics) = throttled(1);
+    assert!(denials > 0, "the tight budget must shed requests");
+    let (parallel, parallel_denials, parallel_metrics) = throttled(2);
+    assert_eq!(denials, parallel_denials);
+    assert_eq!(sequential, parallel);
+    assert_eq!(metrics, parallel_metrics);
 }
 
 /// The thread-count guarantee survives live instrumentation: with a

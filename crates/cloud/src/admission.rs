@@ -179,7 +179,7 @@ impl Default for AdmissionControl {
 /// deterministic in (seed, user, class).
 fn phase(seed: u64, user: UserId, class: RateClass) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
-    h = (h ^ u64::from(user.0)).wrapping_mul(0x0000_0100_0000_01b3);
+    h = (h ^ user.0).wrapping_mul(0x0000_0100_0000_01b3);
     h = (h ^ class.label().len() as u64 ^ u64::from(class.label().as_bytes()[0]))
         .wrapping_mul(0x0000_0100_0000_01b3);
     h ^= h >> 33;
@@ -355,7 +355,7 @@ mod tests {
             (0..60)
                 .map(|i| {
                     let t = SimTime::from_seconds(i * 10);
-                    ac.admit(UserId(i as u32 % 3), RateClass::Ingest, t) == Admission::Admit
+                    ac.admit(UserId(i % 3), RateClass::Ingest, t) == Admission::Admit
                 })
                 .collect()
         };
@@ -391,9 +391,7 @@ mod tests {
             // Every fifth step replays a stale clock 40 steps behind.
             let step = if i % 5 == 3 { i.saturating_sub(40) } else { i };
             let t = SimTime::from_seconds(step * 3);
-            if let Admission::Deny { retry_after } =
-                ac.admit(UserId((i % 2) as u32), RateClass::Query, t)
-            {
+            if let Admission::Deny { retry_after } = ac.admit(UserId(i % 2), RateClass::Query, t) {
                 denies += 1;
                 assert!(retry_after.as_seconds() >= 1, "zero hint at step {i}");
             }

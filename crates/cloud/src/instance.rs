@@ -23,20 +23,20 @@
 //! state lives in [`SHARD_COUNT`] lock shards keyed by `UserId`, the
 //! token registry is behind a read-write lock (validation — the hot path
 //! — takes the read side), the cell database is immutable, and the outage
-//! flag and token RNG use an atomic and a small mutex. All methods take
-//! `&self`; [`SharedCloud`] is the cheap cloneable handle clients hold.
+//! flag is an atomic. User ids and tokens derive from device identity
+//! (see [`crate::auth`]), so no request's outcome depends on the order
+//! concurrent requests ran in. All methods take `&self`; [`SharedCloud`]
+//! is the cheap cloneable handle clients hold.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use pmware_algorithms::gca::GcaConfig;
 use pmware_algorithms::signature::DiscoveredPlace;
 use pmware_obs::Obs;
 use pmware_world::{SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::admission::AdmissionConfig;
 use crate::api::{Request, Response};
@@ -49,6 +49,7 @@ use crate::layer::{
 };
 use crate::profile::{ContactEntry, MobilityProfile};
 use crate::state::{CloudCore, CloudMetrics};
+use crate::storage::wal::WalOp;
 use crate::storage::{StorageConfig, StorageEngine};
 
 pub use crate::state::SHARD_COUNT;
@@ -120,14 +121,14 @@ impl std::ops::Deref for SharedCloud {
 }
 
 impl CloudInstance {
-    /// Creates an instance with a 24-hour token TTL.
+    /// Creates an instance with a 24-hour token TTL; `seed` keys its token
+    /// strings.
     pub fn new(cells: CellDatabase, seed: u64) -> Self {
         Self::assemble(CloudCore {
-            tokens: RwLock::new(TokenStore::new(SimDuration::from_hours(24))),
+            tokens: RwLock::new(TokenStore::new(SimDuration::from_hours(24), seed)),
             storage: StorageEngine::new(),
             cells,
             gca_config: RwLock::new(GcaConfig::default()),
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
             outage: AtomicBool::new(false),
             admission: Default::default(),
             latency: Default::default(),
@@ -177,11 +178,10 @@ impl CloudInstance {
         }
     }
 
-    /// Binds the instance's aggregate counters (per-endpoint requests,
+    /// Binds the instance's counters (per-shard and per-endpoint requests,
     /// replay counts, analytics cache hits, admission denials) to `obs`,
-    /// carrying anything already recorded. Per-shard counts stay private —
-    /// see [`crate::state`]. A builder, meant to run before the instance
-    /// is wrapped in a [`SharedCloud`]:
+    /// carrying anything already recorded. A builder, meant to run before
+    /// the instance is wrapped in a [`SharedCloud`]:
     ///
     /// ```
     /// use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
@@ -202,47 +202,9 @@ impl CloudInstance {
         drop(service);
         let mut core = Arc::try_unwrap(core)
             .expect("with_obs is a builder: call it before sharing the instance");
-        let private = core.metrics.private.clone();
-        let obs = obs.clone().metrics_or(&private);
-        let previous = std::mem::replace(&mut core.metrics, CloudMetrics::resolve(private, obs));
-        for (new, old) in core
-            .metrics
-            .endpoint_requests
-            .iter()
-            .zip(previous.endpoint_requests.iter())
-            .chain(
-                core.metrics
-                    .admission_denied
-                    .iter()
-                    .zip(previous.admission_denied.iter()),
-            )
-        {
-            let v = old.get();
-            if v > 0 {
-                new.set(v);
-            }
-        }
-        for (new, old) in [
-            (&core.metrics.replay_discover, &previous.replay_discover),
-            (
-                &core.metrics.replay_places_sync,
-                &previous.replay_places_sync,
-            ),
-            (
-                &core.metrics.replay_routes_sync,
-                &previous.replay_routes_sync,
-            ),
-            (
-                &core.metrics.replay_profiles_sync,
-                &previous.replay_profiles_sync,
-            ),
-            (
-                &core.metrics.replay_social_sync,
-                &previous.replay_social_sync,
-            ),
-            (&core.metrics.cache_hits, &previous.cache_hits),
-            (&core.metrics.cache_misses, &previous.cache_misses),
-        ] {
+        let obs = obs.clone().metrics_or(&core.metrics.obs);
+        let previous = std::mem::replace(&mut core.metrics, CloudMetrics::resolve(obs));
+        for (new, old) in core.metrics.counters().zip(previous.counters()) {
             let v = old.get();
             if v > 0 {
                 new.set(v);
@@ -286,19 +248,21 @@ impl CloudInstance {
         let gca = self.core.gca_config.read().clone();
         self.core
             .storage
-            .configure(config, &self.core.metrics.shared, &gca);
+            .configure(config, &self.core.metrics.obs, &gca);
     }
 
     /// Rebuilds an instance from a durable store directory after a crash.
     ///
     /// `config.store_dir` must point at the directory a previous
     /// durable-mode instance wrote. The WAL shard files and parked
-    /// snapshots are loaded, every logged registration is replayed (in
-    /// identity-key order) to re-mint users and auth state, and the
-    /// tokens the dead instance issued are re-adopted so clients' live
-    /// sessions keep validating. User *stores* are not rebuilt eagerly:
-    /// each hydrates on first touch from its snapshot plus the WAL suffix
-    /// — recovery cost is O(users) registrations, not O(history).
+    /// snapshots are loaded, every logged registration re-enrolls its
+    /// device, and every logged token grant restores its generation with
+    /// its original expiry — so exactly the tokens that were live at the
+    /// crash validate again, and a token a refresh had rotated away stays
+    /// dead. User *stores* are not rebuilt eagerly: each hydrates on first
+    /// touch from its snapshot plus the WAL suffix — recovery cost is
+    /// O(logged auth records), not O(history). The engine clock starts at
+    /// `now`.
     pub fn recover(
         cells: CellDatabase,
         seed: u64,
@@ -307,44 +271,39 @@ impl CloudInstance {
     ) -> CloudInstance {
         let instance = CloudInstance::new(cells, seed);
         instance.set_storage(Some(config));
-        instance.core.storage.load_dir();
-        instance.core.storage.set_replaying(true);
-        let mut adoptions: Vec<(UserId, String, SimTime)> = Vec::new();
-        for key in instance.core.storage.recovery_keys() {
-            let records = instance.core.storage.records_of(&key);
-            let mut registered: Option<UserId> = None;
-            let summary = crate::storage::wal::replay_session(
-                &records,
-                |request| {
-                    let response = instance.handle(request, now);
-                    if let crate::payload::Payload::Registered { user, .. } = &response.body {
-                        registered = Some(*user);
+        let storage = &instance.core.storage;
+        storage.load_dir();
+        {
+            let mut tokens = instance.core.tokens.write();
+            // Records come in (key, sequence) order, and a key's
+            // registration precedes its grants.
+            let mut registered: Option<(String, DeviceIdentity)> = None;
+            for record in storage.logged_records() {
+                match (&record.op, &registered) {
+                    (WalOp::Request(request), _) => {
+                        if let Some(identity) = DeviceIdentity::registering(request) {
+                            registered = Some((record.key, identity));
+                        }
                     }
-                    response
-                },
-                // Skip every non-registration record: stores hydrate
-                // lazily from snapshot + WAL suffix on first touch.
-                u64::MAX,
-                |_, _| {},
-            );
-            if let Some(user) = registered {
-                instance.core.storage.rebind_recovered(user, &key);
-                for (token, expires_at) in summary.grants {
-                    adoptions.push((user, token, expires_at));
+                    (
+                        WalOp::TokenGrant {
+                            generation,
+                            expires_at,
+                            revokes,
+                        },
+                        Some((key, identity)),
+                    ) if *key == record.key => {
+                        let restored =
+                            tokens.restore(identity.clone(), *generation, *expires_at, *revokes);
+                        if let Ok(user) = restored {
+                            storage.bind_key(user, key);
+                        }
+                    }
+                    _ => {}
                 }
             }
         }
-        instance.core.storage.set_replaying(false);
-        // Graft the logged token grants only after *every* key has
-        // replayed: replayed registrations re-mint from the original
-        // seed, so a mint later in the loop can reproduce the very token
-        // string a grant already bound — grants must have the last word.
-        {
-            let mut tokens = instance.core.tokens.write();
-            for (user, token, expires_at) in adoptions {
-                tokens.adopt(user, &token, expires_at);
-            }
-        }
+        storage.tick(now);
         instance
     }
 
@@ -380,7 +339,7 @@ impl CloudInstance {
     /// cost beyond one atomic load per request.
     pub fn set_latency(&self, profile: Option<LatencyProfile>) {
         match profile {
-            Some(profile) => self.core.latency.enable(profile, &self.core.metrics.shared),
+            Some(profile) => self.core.latency.enable(profile, &self.core.metrics.obs),
             None => self.core.latency.disable(),
         }
     }
@@ -528,23 +487,22 @@ impl CloudInstance {
     }
 
     /// Transplants a live client session onto this instance after a
-    /// migration replay: looks up the user the replayed WAL registered
-    /// under `identity`, grafts the client's current `token` onto it, and
-    /// clears any relocation mark (fail-back). Returns the local
-    /// [`UserId`] now answering for the session, or `None` if no replay
-    /// registered the identity here.
+    /// migration replay: grafts the client's current `token` onto the
+    /// user a replayed registration enrolled as `identity`, and clears any
+    /// relocation mark (fail-back). Returns that user — the same id the
+    /// identity has on every instance — or `None` if no replay registered
+    /// the identity here.
     pub fn adopt_session(
         &self,
         identity: &DeviceIdentity,
         token: &str,
         expires_at: SimTime,
     ) -> Option<UserId> {
-        let user = {
-            let mut tokens = self.core.tokens.write();
-            let user = tokens.user_of(identity)?;
-            tokens.adopt(user, token, expires_at);
-            user
-        };
+        let user = self
+            .core
+            .tokens
+            .write()
+            .adopt(identity, token, expires_at)?;
         self.core.relocated.write().remove(&user);
         Some(user)
     }

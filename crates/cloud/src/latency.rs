@@ -16,9 +16,9 @@
 //! Everything here is a pure function of `(seed, endpoint, arrival
 //! second)` and each user's own sequential request stream:
 //!
-//! * The **service draw** has no user or token component — tokens and
-//!   user-id assignment race across thread schedules, so nothing
-//!   metric-visible may derive from them.
+//! * The **service draw** is keyed by endpoint and arrival second only.
+//!   (User ids and tokens would be safe inputs too: both derive from
+//!   device identity, not arrival order — see [`crate::auth`].)
 //! * The default queue mode, [`QueueMode::PerUser`], gives every
 //!   validated user an independent lane. A lane is only ever touched by
 //!   its own user's (sequential) request stream, so waits, sheds, and
@@ -555,7 +555,7 @@ mod tests {
         let run = || {
             let control = enabled(LatencyProfile::uniform(9, 700, 300));
             (0..50u64)
-                .map(|i| control.process((i % 21) as usize, Some(UserId((i % 3) as u32)), t(i / 2)))
+                .map(|i| control.process((i % 21) as usize, Some(UserId(i % 3)), t(i / 2)))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());

@@ -292,7 +292,7 @@ impl Layer for ShardAccountingLayer {
                 .as_deref()
                 .and_then(|t| self.core.tokens.read().validate(t, now));
             if let Some(user) = user {
-                self.core.metrics.shard_requests[user.0 as usize % crate::state::SHARD_COUNT].inc();
+                self.core.metrics.shard_requests[user.shard()].inc();
             }
         }
         next.run(request, now)

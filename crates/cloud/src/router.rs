@@ -454,16 +454,15 @@ pub(crate) fn dispatch(
                 now,
             };
             let response = (route.handler)(&ctx, request);
-            // Storage-engine WAL hook: successful mutating requests are
+            // Storage-engine WAL hook: successful ingest requests are
             // logged *after* the handler, so a logged record is always a
-            // request that actually shaped state. One atomic load while
-            // the engine is disabled.
-            core.storage.record_success(
-                request,
-                &response,
-                user,
-                route.rate_class == RateClass::Ingest,
-            );
+            // request that actually shaped state. (Registration and token
+            // refresh log their own grants.)
+            if route.rate_class == RateClass::Ingest && response.is_success() {
+                if let Some(user) = user {
+                    core.storage.record_ingest(request, user);
+                }
+            }
             response
         }
         Resolution::MethodNotAllowed { allow } => Response::method_not_allowed(allow),

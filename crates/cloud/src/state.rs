@@ -10,13 +10,12 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use pmware_algorithms::gca::{GcaConfig, IncrementalGca};
 use pmware_algorithms::route::RouteStore;
 use pmware_algorithms::signature::DiscoveredPlace;
 use pmware_obs::{Counter, Obs};
 use pmware_world::SimTime;
-use rand::rngs::StdRng;
 
 use crate::admission::AdmissionControl;
 use crate::analytics::ProfileHistory;
@@ -81,26 +80,18 @@ impl Default for UserStore {
     }
 }
 
-/// Registry-backed cloud counters.
-///
-/// Two registries are involved on purpose. Per-**endpoint** requests,
-/// idempotent-replay counts, admission denials, and the analytics cache
-/// hit/miss counters are order-independent aggregates, so they may bind
-/// to a study-wide shared registry via `CloudInstance::with_obs`.
-/// Per-**shard** counts stay in the instance's private registry always:
-/// the user-id → shard mapping depends on registration order, which races
-/// across thread schedules, and admitting it into a shared snapshot would
-/// break the byte-identical determinism guarantee.
+/// Registry-backed cloud counters, all bound to one registry: the
+/// instance's own until `CloudInstance::with_obs` rebinds them to a
+/// study-wide one. Every value is order-independent — user ids, and so
+/// the user → shard mapping, derive from device identity — so a shared
+/// snapshot is byte-identical at any thread count.
 #[derive(Debug)]
 pub(crate) struct CloudMetrics {
-    /// Private always-on registry backing the legacy snapshot views.
-    pub(crate) private: Obs,
-    /// The registry aggregate metrics bind to (the shared study registry
-    /// after `with_obs`, else the private one). Kept so late enablers —
-    /// the latency model resolves its histograms at `set_latency` time,
-    /// not construction time — bind to the same registry. Lazy resolution
-    /// is what keeps a disabled model from adding metric keys.
-    pub(crate) shared: Obs,
+    /// The registry the counters bind to. Kept so late enablers — the
+    /// latency model resolves its histograms at `set_latency` time, not
+    /// construction time — bind to the same registry. Lazy resolution is
+    /// what keeps a disabled model from adding metric keys.
+    pub(crate) obs: Obs,
     pub(crate) shard_requests: Vec<Counter>,
     /// Indexed by [`crate::router::endpoint_index`].
     pub(crate) endpoint_requests: Vec<Counter>,
@@ -111,9 +102,7 @@ pub(crate) struct CloudMetrics {
     pub(crate) replay_social_sync: Counter,
     pub(crate) cache_hits: Counter,
     pub(crate) cache_misses: Counter,
-    /// Admission-control denials, per rate class (order-independent: each
-    /// user's request stream is sequential, so denial counts do not race
-    /// across thread schedules).
+    /// Admission-control denials, per rate class.
     pub(crate) admission_denied: Vec<Counter>,
     /// Wall-clock latency per endpoint, bench builds only.
     #[cfg(feature = "wallclock")]
@@ -122,15 +111,14 @@ pub(crate) struct CloudMetrics {
 
 impl CloudMetrics {
     pub(crate) fn new() -> CloudMetrics {
-        let private = Obs::new().for_actor("cloud");
-        Self::resolve(private.clone(), private)
+        Self::resolve(Obs::new().for_actor("cloud"))
     }
 
-    pub(crate) fn resolve(private: Obs, obs: Obs) -> CloudMetrics {
+    pub(crate) fn resolve(obs: Obs) -> CloudMetrics {
         let shard_requests = (0..SHARD_COUNT)
             .map(|i| {
                 let shard = format!("{i:02}");
-                private.counter("cloud_shard_requests_total", &[("shard", &shard)])
+                obs.counter("cloud_shard_requests_total", &[("shard", &shard)])
             })
             .collect();
         let endpoint_requests: Vec<Counter> = ENDPOINT_LABELS
@@ -154,7 +142,6 @@ impl CloudMetrics {
             })
             .collect();
         CloudMetrics {
-            shared: obs.clone(),
             shard_requests,
             endpoint_requests,
             replay_discover: obs.counter("cloud_replays_total", &[("endpoint", "places_discover")]),
@@ -168,8 +155,25 @@ impl CloudMetrics {
             admission_denied,
             #[cfg(feature = "wallclock")]
             endpoint_nanos,
-            private,
+            obs,
         }
+    }
+
+    /// Every counter, in a fixed order (rebinding carries values across).
+    pub(crate) fn counters(&self) -> impl Iterator<Item = &Counter> {
+        self.shard_requests
+            .iter()
+            .chain(&self.endpoint_requests)
+            .chain(&self.admission_denied)
+            .chain([
+                &self.replay_discover,
+                &self.replay_places_sync,
+                &self.replay_routes_sync,
+                &self.replay_profiles_sync,
+                &self.replay_social_sync,
+                &self.cache_hits,
+                &self.cache_misses,
+            ])
     }
 
     /// The admission-denial counter for a rate class.
@@ -194,7 +198,6 @@ pub(crate) struct CloudCore {
     pub(crate) storage: StorageEngine,
     pub(crate) cells: CellDatabase,
     pub(crate) gca_config: RwLock<GcaConfig>,
-    pub(crate) rng: Mutex<StdRng>,
     pub(crate) outage: AtomicBool,
     pub(crate) admission: AdmissionControl,
     /// The sim-time latency model: per-endpoint service draws, queueing,

@@ -15,8 +15,9 @@
 //! * **Durability** (`store_dir`): every successful mutating request is
 //!   appended to a per-shard JSONL WAL before the response is returned to
 //!   the transport, snapshots park on disk instead of RAM, and
-//!   [`StorageEngine::load_dir`] + registration replay rebuild the exact
-//!   instance after a crash ([`crate::instance::CloudInstance::recover`]).
+//!   [`StorageEngine::load_dir`] plus the logged registrations and token
+//!   grants rebuild the exact instance after a crash
+//!   ([`crate::instance::CloudInstance::recover`]).
 //! * **Compaction** (`snapshot_every_days`): on a sim-day cadence the
 //!   engine refreshes every resident user's snapshot, drops WAL records
 //!   the snapshots cover (registrations and token grants are exempt — they
@@ -54,9 +55,8 @@ use pmware_algorithms::gca::GcaConfig;
 use pmware_obs::{Counter, FieldValue, Gauge, Obs, SpanSink};
 use pmware_world::SimTime;
 
-use crate::api::{Request, Response};
-use crate::auth::UserId;
-use crate::payload::{Payload, RegistrationBody, RequestBody, REGISTRATION_PATH};
+use crate::api::Request;
+use crate::auth::{AuthToken, UserId};
 use crate::state::{UserStore, SHARD_COUNT};
 
 use residency::{ResidencyState, Shard};
@@ -65,16 +65,19 @@ use wal::{WalLog, WalOp, WalRecord};
 
 pub(crate) use snapshot::fnv64;
 
-/// The device identity key user state is logged, snapshotted, and placed
-/// under — shared by the storage engine and the federation topology.
-pub(crate) fn identity_key(imei: &str, email: &str) -> String {
-    format!("{imei}|{email}")
-}
-
 /// The identity key of a user the WAL never saw register (tests and
 /// benches that talk to stores directly).
 fn fallback_key(user: UserId) -> String {
     format!("uid:{:08}", user.0)
+}
+
+/// The user a snapshot key belongs to: the inverse of [`fallback_key`],
+/// else the identity hash. Identity keys always contain `|`, so they
+/// never parse as a fallback key.
+fn user_of_key(key: &str) -> UserId {
+    key.strip_prefix("uid:")
+        .and_then(|raw| raw.parse().ok())
+        .map_or_else(|| UserId::of_key(key), UserId)
 }
 
 /// Storage engine configuration. All pieces are optional and composable;
@@ -134,9 +137,8 @@ struct WalState {
 }
 
 impl WalState {
-    /// The shard file index a key's records land in. Decoupled from the
-    /// user-id shard mapping on purpose: keys are stable identity
-    /// strings, user ids are assigned in registration order.
+    /// The shard file index a key's records land in: a hash of the
+    /// identity key, so a key's file never depends on which users exist.
     fn file_index(key: &str) -> usize {
         (fnv64(key) % SHARD_COUNT as u64) as usize
     }
@@ -197,17 +199,12 @@ pub(crate) struct EngineInner {
     wal: Mutex<WalState>,
     snapshots: SnapshotStore,
     residency: Mutex<ResidencyState>,
-    /// User → identity key, bound at registration success.
+    /// User → identity key, bound at registration success (the id is a
+    /// hash of the key, so the reverse needs no map).
     keys: RwLock<HashMap<UserId, String>>,
-    /// Identity key → user, the reverse map (re-hydration on disable,
-    /// recovery rebinding).
-    users_of: RwLock<HashMap<String, UserId>>,
     /// Last simulated instant seen by `handle` (seconds): the LRU stamp
     /// for accessor-path acquisitions that carry no clock of their own.
     clock: AtomicU64,
-    /// Recovery replay in flight: suppress WAL logging so replayed
-    /// requests are not re-logged.
-    replaying: AtomicBool,
     /// Sim-day of the last compaction sweep.
     compact_day: AtomicU64,
     /// Monotonic hydration-span sequence (trace-id input).
@@ -261,9 +258,7 @@ impl StorageEngine {
                 snapshots: SnapshotStore::default(),
                 residency: Mutex::new(ResidencyState::default()),
                 keys: RwLock::new(HashMap::new()),
-                users_of: RwLock::new(HashMap::new()),
                 clock: AtomicU64::new(0),
-                replaying: AtomicBool::new(false),
                 compact_day: AtomicU64::new(0),
                 hydration_seq: AtomicU64::new(0),
                 metrics: RwLock::new(StorageMetrics::default()),
@@ -289,7 +284,7 @@ impl StorageEngine {
 
     /// The shard a user's resident store lives in.
     fn shard(&self, user: UserId) -> &Shard {
-        &self.inner.shards[user.0 as usize % SHARD_COUNT]
+        &self.inner.shards[user.shard()]
     }
 
     /// The identity key a user's durable state files under.
@@ -302,10 +297,10 @@ impl StorageEngine {
             .unwrap_or_else(|| fallback_key(user))
     }
 
-    /// Binds `user` ↔ `key` (registration success, recovery rebinding).
-    fn bind_key(&self, user: UserId, key: &str) {
+    /// Binds `user` to the identity key its durable state files under
+    /// (registration success, crash recovery).
+    pub(crate) fn bind_key(&self, user: UserId, key: &str) {
         self.inner.keys.write().insert(user, key.to_owned());
-        self.inner.users_of.write().insert(key.to_owned(), user);
     }
 
     /// Enables (`Some`) or disables (`None`) the engine at runtime.
@@ -370,14 +365,7 @@ impl StorageEngine {
         // Bring every parked user back to RAM: the disabled engine has no
         // hydration path, so state must not stay stranded in snapshots.
         for key in self.inner.snapshots.keys() {
-            let user = self.inner.users_of.read().get(&key).copied().or_else(|| {
-                key.strip_prefix("uid:")
-                    .and_then(|raw| raw.parse::<u32>().ok())
-                    .map(UserId)
-            });
-            let Some(user) = user else {
-                continue;
-            };
+            let user = user_of_key(&key);
             let shard = self.shard(user);
             if shard.users.read().contains_key(&user) {
                 continue;
@@ -629,65 +617,34 @@ impl StorageEngine {
         metrics.resident.add(-1);
     }
 
-    /// WAL hook, called by the dispatcher after every handled request.
-    /// Registration successes bind the user's identity key; in durable
-    /// mode, registrations, token rotations, and `Ingest`-class successes
-    /// are appended to the log.
-    pub(crate) fn record_success(
-        &self,
-        request: &Request,
-        response: &Response,
-        user: Option<UserId>,
-        ingest: bool,
-    ) {
-        if !self.inner.enabled.load(Ordering::SeqCst)
-            || self.inner.replaying.load(Ordering::SeqCst)
-            || !response.is_success()
-        {
-            return;
+    /// WAL hook for a successful registration: binds the user's identity
+    /// key and, in durable mode, logs the request.
+    pub(crate) fn record_registration(&self, user: UserId, key: &str, request: &Request) {
+        if self.is_enabled() {
+            self.bind_key(user, key);
+            self.append_durable(key, WalOp::request(request.clone()));
         }
-        if let Payload::Registered {
-            user,
-            token,
-            expires_at,
-        } = &response.body
-        {
-            if request.path == REGISTRATION_PATH {
-                let key = match RegistrationBody::from_payload(&request.body) {
-                    Some(body) => identity_key(&body.imei, &body.email),
-                    None => match request.body.parse::<RegistrationBody>() {
-                        Ok(body) => identity_key(&body.imei, &body.email),
-                        Err(_) => fallback_key(*user),
-                    },
-                };
-                self.bind_key(*user, &key);
-                self.append_durable(&key, WalOp::request(request.clone()));
-                self.append_durable(
-                    &key,
-                    WalOp::TokenGrant {
-                        token: token.clone(),
-                        expires_at: *expires_at,
-                    },
-                );
-            }
-            return;
+    }
+
+    /// WAL hook for a token grant (durable mode): `user` was issued
+    /// `grant`, replacing generation `revokes` if a refresh issued it.
+    pub(crate) fn record_grant(&self, user: UserId, grant: &AuthToken, revokes: Option<u64>) {
+        if self.is_enabled() {
+            let op = WalOp::TokenGrant {
+                generation: grant.generation,
+                expires_at: grant.expires_at,
+                revokes,
+            };
+            self.append_durable(&self.key_of(user), op);
         }
-        if let Payload::TokenRefreshed { token, expires_at } = &response.body {
-            if let Some(user) = user {
-                self.append_durable(
-                    &self.key_of(user),
-                    WalOp::TokenGrant {
-                        token: token.clone(),
-                        expires_at: *expires_at,
-                    },
-                );
-            }
-            return;
-        }
-        if ingest {
-            if let Some(user) = user {
-                self.append_durable(&self.key_of(user), WalOp::request(request.clone()));
-            }
+    }
+
+    /// WAL hook for a successful `Ingest`-class request (durable mode),
+    /// called by the dispatcher after the handler: a logged record is
+    /// always a request that actually shaped state.
+    pub(crate) fn record_ingest(&self, request: &Request, user: UserId) {
+        if self.is_enabled() {
+            self.append_durable(&self.key_of(user), WalOp::request(request.clone()));
         }
     }
 
@@ -733,42 +690,10 @@ impl StorageEngine {
         self.inner.snapshots.load(&dir);
     }
 
-    /// Keys with recoverable state (WAL records or a parked snapshot), in
-    /// key order — the deterministic recovery sweep order.
-    pub(crate) fn recovery_keys(&self) -> Vec<String> {
-        let mut keys = self.inner.wal.lock().log.keys();
-        for key in self.inner.snapshots.keys() {
-            if !keys.contains(&key) {
-                keys.push(key);
-            }
-        }
-        keys.sort();
-        keys
-    }
-
-    /// All WAL records of `key`, in sequence order.
-    pub(crate) fn records_of(&self, key: &str) -> Vec<WalRecord> {
-        self.inner.wal.lock().log.suffix(key, 0)
-    }
-
-    /// Marks a recovery replay as in flight (suppresses WAL logging).
-    pub(crate) fn set_replaying(&self, replaying: bool) {
-        self.inner.replaying.store(replaying, Ordering::SeqCst);
-    }
-
-    /// Rebinds a recovered registration: maps `user` ↔ `key` and drops
-    /// the empty default store the replayed registration materialized, so
-    /// the next touch hydrates lazily from snapshot + WAL under `key`.
-    pub(crate) fn rebind_recovered(&self, user: UserId, key: &str) {
-        self.bind_key(user, key);
-        let removed = self.shard(user).users.write().remove(&user).is_some();
-        let mut res = self.inner.residency.lock();
-        if res.contains(user) {
-            res.remove(user);
-            if removed {
-                self.inner.metrics.read().resident.add(-1);
-            }
-        }
+    /// Every WAL record, in (key, sequence) order — the deterministic
+    /// recovery sweep.
+    pub(crate) fn logged_records(&self) -> Vec<WalRecord> {
+        self.inner.wal.lock().log.all_records().cloned().collect()
     }
 
     // ---- views -----------------------------------------------------------
@@ -857,9 +782,9 @@ mod tests {
             &Obs::new(),
             &GcaConfig::default(),
         );
-        for (i, at) in [(1u32, 10u64), (2, 20), (3, 30)] {
+        for (i, at) in [(1u64, 10u64), (2, 20), (3, 30)] {
             let guard = engine.acquire(UserId(i), SimTime::from_seconds(at), &gca);
-            guard.lock().places_seq = u64::from(i) * 100;
+            guard.lock().places_seq = i * 100;
         }
         // User 1 (oldest stamp) was evicted to a snapshot.
         assert_eq!(engine.resident_users(), 2);

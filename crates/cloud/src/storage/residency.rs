@@ -29,11 +29,11 @@ pub(crate) struct Shard {
 pub(crate) struct ResidencyState {
     /// `(last_access_seconds, user)` — `BTreeSet` iteration order *is*
     /// eviction order (oldest stamp first, user-id tie-break).
-    order: BTreeSet<(u64, u32)>,
+    order: BTreeSet<(u64, u64)>,
     /// Current stamp per resident user (to relocate the `order` entry).
-    stamp: HashMap<u32, u64>,
+    stamp: HashMap<u64, u64>,
     /// Outstanding [`super::StoreGuard`] pins per user.
-    pins: HashMap<u32, u32>,
+    pins: HashMap<u64, u32>,
 }
 
 impl ResidencyState {

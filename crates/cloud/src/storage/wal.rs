@@ -4,16 +4,16 @@
 //! ([`crate::topology`]) and the durable storage engine — share this
 //! module. A [`WalRecord`] is a per-identity-key sequenced operation:
 //! either a replayable mutating [`Request`] (registration plus the
-//! `Ingest`-class offloads and syncs) or a [`WalOp::TokenGrant`] capturing
-//! a token the instance issued, so a recovered instance can re-adopt the
-//! session the client is still holding.
+//! `Ingest`-class offloads and syncs) or a [`WalOp::TokenGrant`] recording
+//! one issued token generation, so a recovered instance re-derives exactly
+//! the tokens its clients still hold.
 //!
-//! Replay is idempotent twice over: [`replay_session`] skips records at or
-//! below a caller-supplied sequence watermark (the snapshot the target
-//! already holds), and the server-side store watermarks (`absorbed_upto`,
-//! per-day profile sequences, places/routes sync sequences) absorb any
-//! record that slips through both filters. Queries are never logged: they
-//! do not shape user state.
+//! Replay ([`replay_session`]) serves federation migration and is
+//! idempotent: the server-side store watermarks (`absorbed_upto`, per-day
+//! profile sequences, places/routes sync sequences) absorb any record the
+//! target already holds. Crash recovery replays no requests: it folds the
+//! registrations and grants, and stores hydrate from snapshot plus WAL
+//! suffix. Queries are never logged: they do not shape user state.
 
 use std::collections::BTreeMap;
 
@@ -29,14 +29,16 @@ pub(crate) enum WalOp {
     /// A successful mutating request, replayable through `handle`
     /// (boxed: records outnumber grants and a request dwarfs one).
     Request(Box<Request>),
-    /// A token the instance issued for this identity (registration or
-    /// refresh). Never replayed through the stack — adoption grafts it
-    /// back so the client's live token keeps validating after recovery.
+    /// A token generation a registration or refresh issued to this
+    /// identity. The token string is derived from the generation, so it is
+    /// not stored.
     TokenGrant {
-        /// The opaque token string.
-        token: String,
+        /// Which of the user's tokens (1-based).
+        generation: u64,
         /// Its expiry instant.
         expires_at: SimTime,
+        /// The generation a refresh replaced, which is dead from now on.
+        revokes: Option<u64>,
     },
 }
 
@@ -110,9 +112,22 @@ impl WalRecord {
                 map.insert("kind".to_owned(), Value::String("request".to_owned()));
                 map.insert("request".to_owned(), Value::String(wire));
             }
-            WalOp::TokenGrant { token, expires_at } => {
+            WalOp::TokenGrant {
+                generation,
+                expires_at,
+                revokes,
+            } => {
                 map.insert("kind".to_owned(), Value::String("token".to_owned()));
-                map.insert("token".to_owned(), Value::String(token.clone()));
+                map.insert(
+                    "generation".to_owned(),
+                    Value::Number(serde_json::Number::PosInt(*generation)),
+                );
+                if let Some(revoked) = revokes {
+                    map.insert(
+                        "revokes".to_owned(),
+                        Value::Number(serde_json::Number::PosInt(*revoked)),
+                    );
+                }
                 map.insert(
                     "expires_at_s".to_owned(),
                     Value::Number(serde_json::Number::PosInt(expires_at.as_seconds())),
@@ -139,10 +154,10 @@ impl WalRecord {
                 WalOp::request(request)
             }
             Some("token") => WalOp::TokenGrant {
-                token: value["token"]
-                    .as_str()
-                    .ok_or("token record missing token")?
-                    .to_owned(),
+                generation: value["generation"]
+                    .as_u64()
+                    .ok_or("token record missing generation")?,
+                revokes: value["revokes"].as_u64(),
                 expires_at: SimTime::from_seconds(
                     value["expires_at_s"]
                         .as_u64()
@@ -215,12 +230,6 @@ impl WalLog {
         self.by_key.get(key).map_or(0, Vec::len)
     }
 
-    /// All keys with at least one record, in key order (deterministic
-    /// recovery ordering).
-    pub(crate) fn keys(&self) -> Vec<String> {
-        self.by_key.keys().cloned().collect()
-    }
-
     /// Drops every non-exempt record of `key` at or below `upto` (the
     /// key's snapshot watermark). Registrations and token grants survive:
     /// snapshots capture store state, not the auth registry.
@@ -236,60 +245,42 @@ impl WalLog {
     }
 }
 
-/// Outcome of one [`replay_session`] pass.
-#[derive(Debug, Default)]
-pub(crate) struct ReplaySummary {
-    /// Requests replayed successfully.
-    pub(crate) replayed: usize,
-    /// Token grants encountered, in log order (last is the client's live
-    /// token; the caller adopts them after replay).
-    pub(crate) grants: Vec<(String, SimTime)>,
-}
-
-/// The one idempotent replay path, shared by federation migration and
-/// crash recovery.
+/// The one idempotent replay path of federation migration.
 ///
-/// Registration requests always replay as logged (they mint the user and
-/// yield the replay token). Every other request is skipped while `seq ≤
-/// after_seq` — the target already holds that history in a snapshot — and
-/// otherwise replays under the current replay token, mirroring the token
-/// rotations the client's own retries performed. `observe` fires once per
-/// replayed request (span recording hook).
+/// Registration requests replay as logged (they enroll the user and yield
+/// the replay token); every other request replays under the current replay
+/// token, mirroring the token rotations the client's own retries
+/// performed. `observe` fires once per replayed request (span recording
+/// hook). Returns the number of requests replayed successfully.
 pub(crate) fn replay_session(
     records: &[WalRecord],
     mut handle: impl FnMut(&Request) -> Response,
-    after_seq: u64,
     mut observe: impl FnMut(&Request, &Response),
-) -> ReplaySummary {
-    let mut summary = ReplaySummary::default();
+) -> usize {
+    let mut replayed = 0;
     let mut replay_token: Option<String> = None;
     for record in records {
-        let request = match &record.op {
-            WalOp::TokenGrant { token, expires_at } => {
-                summary.grants.push((token.clone(), *expires_at));
-                continue;
-            }
-            WalOp::Request(request) if record.is_registration() => (**request).clone(),
-            WalOp::Request(request) => {
-                if record.seq <= after_seq {
-                    continue;
-                }
-                match &replay_token {
-                    Some(token) => (**request).clone().with_token(token.clone()),
-                    None => continue,
-                }
+        let WalOp::Request(request) = &record.op else {
+            continue;
+        };
+        let request = if record.is_registration() {
+            (**request).clone()
+        } else {
+            match &replay_token {
+                Some(token) => (**request).clone().with_token(token.clone()),
+                None => continue,
             }
         };
         let response = handle(&request);
         observe(&request, &response);
         if response.is_success() {
-            summary.replayed += 1;
+            replayed += 1;
             if let Payload::Registered { token, .. } = &response.body {
                 replay_token = Some(token.clone());
             }
         }
     }
-    summary
+    replayed
 }
 
 #[cfg(test)]
@@ -321,14 +312,20 @@ mod tests {
             seq: 4,
             key: "imei|mail".to_owned(),
             op: WalOp::TokenGrant {
-                token: "tok-y".to_owned(),
+                generation: 2,
                 expires_at: SimTime::from_seconds(86_400),
+                revokes: Some(1),
             },
         };
         let back = WalRecord::from_json(&grant.to_json()).unwrap();
         match back.op {
-            WalOp::TokenGrant { token, expires_at } => {
-                assert_eq!(token, "tok-y");
+            WalOp::TokenGrant {
+                generation,
+                expires_at,
+                revokes,
+            } => {
+                assert_eq!(generation, 2);
+                assert_eq!(revokes, Some(1));
                 assert_eq!(expires_at, SimTime::from_seconds(86_400));
             }
             other => panic!("expected grant, got {other:?}"),
@@ -357,8 +354,9 @@ mod tests {
         log.append(
             "a",
             WalOp::TokenGrant {
-                token: "tok".into(),
+                generation: 1,
                 expires_at: SimTime::EPOCH,
+                revokes: None,
             },
         );
         log.append(
@@ -377,15 +375,23 @@ mod tests {
     }
 
     #[test]
-    fn replay_skips_below_watermark_but_always_registers() {
+    fn replay_rides_the_replayed_registration_token() {
         let mut log = WalLog::default();
+        log.append(
+            "a",
+            WalOp::request(Request::post("/api/v1/places/sync", json!({"places": []}))),
+        );
         log.append(
             "a",
             WalOp::request(Request::post("/api/v1/registration", json!({"imei": "1"}))),
         );
         log.append(
             "a",
-            WalOp::request(Request::post("/api/v1/places/sync", json!({"places": []}))),
+            WalOp::TokenGrant {
+                generation: 1,
+                expires_at: SimTime::EPOCH,
+                revokes: None,
+            },
         );
         log.append(
             "a",
@@ -396,7 +402,7 @@ mod tests {
         );
         let records = log.suffix("a", 0);
         let mut seen = Vec::new();
-        let summary = replay_session(
+        let replayed = replay_session(
             &records,
             |request| {
                 seen.push(request.path.clone());
@@ -411,12 +417,11 @@ mod tests {
                     Response::ok(Payload::Empty)
                 }
             },
-            2,
             |_, _| {},
         );
-        // Registration (seq 1) replays despite the watermark; the sync at
-        // seq 2 is covered by the snapshot; seq 3 replays.
+        // The sync before any registration has no token to ride and is
+        // skipped; the grant is auth state, not a request.
         assert_eq!(seen, vec![REGISTRATION_PATH, "/api/v1/social/sync"]);
-        assert_eq!(summary.replayed, 2);
+        assert_eq!(replayed, 2);
     }
 }

@@ -27,7 +27,7 @@ use pmware_obs::FieldValue;
 use pmware_world::SimTime;
 
 use crate::api::{Request, Response, SpanCtx};
-use crate::auth::{DeviceIdentity, UserId};
+use crate::auth::DeviceIdentity;
 use crate::payload::{HandshakeBody, Payload, REGISTRATION_PATH, TOPOLOGY_HANDSHAKE_PATH};
 use crate::transport::{CloudEndpoint, CloudTransport, STATUS_MISDIRECTED};
 
@@ -51,18 +51,11 @@ pub struct FederatedEndpoint {
     slot: Mutex<ClientSlot>,
 }
 
-/// Shape of a registration reply as seen through a wire round trip
-/// (chaos-wrapped endpoints hand back untyped JSON bodies).
+/// The token of a registration or token-refresh reply as seen through a
+/// wire round trip (chaos-wrapped endpoints hand back untyped JSON
+/// bodies).
 #[derive(serde::Deserialize)]
-struct RegisteredView {
-    user: UserId,
-    token: String,
-    expires_at: SimTime,
-}
-
-/// Shape of a token-refresh reply through a wire round trip.
-#[derive(serde::Deserialize)]
-struct RefreshView {
+struct TokenView {
     token: String,
     expires_at: SimTime,
 }
@@ -137,39 +130,18 @@ impl FederatedEndpoint {
             return;
         }
         if request.path == REGISTRATION_PATH {
-            if let Ok(view) = response.parse::<RegisteredView>() {
-                self.router.record_session(
-                    identity,
-                    instance,
-                    view.user,
-                    &view.token,
-                    view.expires_at,
-                );
+            if let Ok(view) = response.parse::<TokenView>() {
+                self.router
+                    .record_session(identity, instance, &view.token, view.expires_at);
             }
         } else if request.path == TOKEN_REFRESH_PATH {
-            if let Ok(view) = response.parse::<RefreshView>() {
+            if let Ok(view) = response.parse::<TokenView>() {
                 self.router
                     .update_token(identity, &view.token, view.expires_at);
             }
         }
         self.router.log_if_mutating(identity, request);
     }
-}
-
-/// Extracts the device identity from a registration request body (typed
-/// or raw JSON).
-fn identity_of(request: &Request) -> Option<DeviceIdentity> {
-    if request.path != REGISTRATION_PATH {
-        return None;
-    }
-    let body = request
-        .body
-        .parse::<crate::payload::RegistrationBody>()
-        .ok()?;
-    Some(DeviceIdentity {
-        imei: body.imei,
-        email: body.email,
-    })
 }
 
 impl From<FederatedEndpoint> for CloudEndpoint {
@@ -181,7 +153,7 @@ impl From<FederatedEndpoint> for CloudEndpoint {
 impl CloudTransport for FederatedEndpoint {
     fn send(&self, request: &Request, now: SimTime) -> Response {
         let mut slot = self.slot.lock();
-        if let Some(identity) = identity_of(request) {
+        if let Some(identity) = DeviceIdentity::registering(request) {
             slot.identity = Some(identity);
         }
         if slot.target.is_none() {

@@ -132,7 +132,6 @@ struct SessionRecord {
     identity: DeviceIdentity,
     token: String,
     expires_at: SimTime,
-    user: UserId,
     instance: InstanceId,
 }
 
@@ -301,7 +300,7 @@ pub struct TopologyRouter {
 
 // The device identity key placement is computed over — shared with the
 // durable storage engine, which keys its WAL and snapshots the same way.
-pub(crate) use crate::storage::identity_key;
+pub(crate) use crate::auth::identity_key;
 
 impl TopologyRouter {
     /// An empty federation using `policy` for new placements.
@@ -414,13 +413,13 @@ impl TopologyRouter {
     }
 
     /// The instance currently answering for a device's session, with the
-    /// user id its state lives under there — how the federation tests
-    /// read back a migrated user's cloud-side snapshot.
+    /// user id its state lives under — how the federation tests read back
+    /// a migrated user's cloud-side snapshot.
     pub fn locate(&self, imei: &str, email: &str) -> Option<(SharedCloud, UserId)> {
         let state = self.shared.state.lock();
         let session = state.sessions.get(&identity_key(imei, email))?;
         let entry = state.entry(session.instance)?;
-        Some((entry.cloud.clone(), session.user))
+        Some((entry.cloud.clone(), UserId::of(&session.identity)))
     }
 
     /// The instance a device's session currently lives on — how harnesses
@@ -601,20 +600,18 @@ impl TopologyRouter {
         // later re-registrations in the log rotate it, mirroring what the
         // client's own retries did against the old instance.
         let mut replayed_total = 0usize;
-        let mut adopted: Vec<(String, InstanceId, UserId)> = Vec::new();
+        let mut adopted: Vec<(String, InstanceId)> = Vec::new();
         let sink = self.span_sink();
         for job in &jobs {
             let records = self.shared.wal.replay_of(&job.key);
-            // The shared idempotent replay path (also the crash-recovery
-            // engine). WAL entries keep the span context of the request
-            // that first sent them, so replay work shows up as a child of
-            // that original operation's trace. Failover runs from the
-            // single driving thread, which keeps the extra span ids
-            // deterministic.
-            let summary = crate::storage::wal::replay_session(
+            // The idempotent replay path. WAL entries keep the span
+            // context of the request that first sent them, so replay work
+            // shows up as a child of that original operation's trace.
+            // Failover runs from the single driving thread, which keeps
+            // the extra span ids deterministic.
+            replayed_total += crate::storage::wal::replay_session(
                 &records,
                 |request| job.target.handle(request, now),
-                0,
                 |request, response| {
                     if request.ctx.is_active() {
                         if let Some(sink) = &sink {
@@ -637,25 +634,24 @@ impl TopologyRouter {
                     }
                 },
             );
-            replayed_total += summary.replayed;
             if let Some(session) = &job.session {
                 if let Some(user) =
                     job.target
                         .adopt_session(&session.identity, &session.token, session.expires_at)
                 {
-                    job.old.mark_relocated(session.user);
-                    adopted.push((job.key.clone(), job.target_id, user));
+                    job.old.mark_relocated(user);
+                    adopted.push((job.key.clone(), job.target_id));
                 }
             }
         }
 
-        // Pass 3 (locked): record adopted sessions.
+        // Pass 3 (locked): record where adopted sessions now live. The
+        // user id needs no rewrite: it is the same on every instance.
         let version = {
             let mut state = self.shared.state.lock();
-            for (key, instance, user) in adopted {
+            for (key, instance) in adopted {
                 if let Some(session) = state.sessions.get_mut(&key) {
                     session.instance = instance;
-                    session.user = user;
                 }
             }
             state.version
@@ -729,7 +725,6 @@ impl TopologyRouter {
         &self,
         identity: &DeviceIdentity,
         instance: InstanceId,
-        user: UserId,
         token: &str,
         expires_at: SimTime,
     ) {
@@ -740,7 +735,6 @@ impl TopologyRouter {
                 identity: identity.clone(),
                 token: token.to_owned(),
                 expires_at,
-                user,
                 instance,
             },
         );

@@ -3,14 +3,13 @@
 //! The federated endpoint appends every *successful mutating* request —
 //! registration plus the `Ingest`-class offloads and syncs — keyed by the
 //! device identity. A failover replays the log, in order, into the user's
-//! new instance through [`crate::storage::wal::replay_session`] — the same
-//! idempotent replay path crash recovery uses, over the same
-//! [`WalRecord`] type. The server-side sequence watermarks
-//! (`absorbed_upto`, per-day profile sequences, places/routes sync
-//! sequences) make the replay idempotent, so the rebuilt state is
-//! byte-identical to what the dead instance held. Queries and token
-//! refreshes are never logged: they do not shape user state, and the live
-//! token is transplanted separately at adoption time.
+//! new instance through [`crate::storage::wal::replay_session`], over the
+//! [`WalRecord`] type the durable storage engine logs. The server-side
+//! sequence watermarks (`absorbed_upto`, per-day profile sequences,
+//! places/routes sync sequences) make the replay idempotent, so the
+//! rebuilt state is byte-identical to what the dead instance held.
+//! Queries and token refreshes are never logged: they do not shape user
+//! state, and the live token is transplanted separately at adoption time.
 
 use parking_lot::Mutex;
 

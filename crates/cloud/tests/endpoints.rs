@@ -10,7 +10,9 @@
 use pmware_algorithms::gca::GcaConfig;
 use pmware_algorithms::signature::{DiscoveredPlace, DiscoveredPlaceId, PlaceSignature};
 use pmware_cloud::profile::{ContactEntry, MobilityProfile, PlaceEntry};
-use pmware_cloud::{CellDatabase, CloudInstance, Request, SharedCloud, UserId, SHARD_COUNT};
+use pmware_cloud::{
+    CellDatabase, CloudInstance, DeviceIdentity, Request, SharedCloud, UserId, SHARD_COUNT,
+};
 use pmware_obs::Obs;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
 use pmware_world::tower::NetworkLayer;
@@ -29,6 +31,14 @@ fn register(cloud: &CloudInstance, n: u32, now: SimTime) -> String {
     let resp = cloud.handle(&req, now);
     assert!(resp.is_success(), "{resp:?}");
     resp.json()["token"].as_str().unwrap().to_owned()
+}
+
+/// The id [`register`] gives device `n`: a hash of its identity.
+fn user_of(n: u32) -> UserId {
+    UserId::of(&DeviceIdentity {
+        imei: format!("imei-{n}"),
+        email: format!("u{n}@x.com"),
+    })
 }
 
 #[test]
@@ -518,7 +528,7 @@ fn sequenced_discover_skips_absorbed_prefixes() {
     let first = discover(&stream, 0);
     assert!(first.is_success(), "{first:?}");
     assert_eq!(first.json()["absorbed_upto"], 40);
-    let user = UserId(0);
+    let user = user_of(0);
     assert_eq!(c.observation_count(user), 40);
     // A duplicated delivery of the same batch absorbs nothing new.
     let dup = discover(&stream, 0);
@@ -543,7 +553,7 @@ fn sequenced_contacts_deduplicate_resent_buffers() {
     let c = cloud();
     let now = SimTime::EPOCH;
     let token = register(&c, 0, now);
-    let user = UserId(0);
+    let user = user_of(0);
     let entry = |n: u64| ContactEntry {
         contact: format!("peer-{n}"),
         start: SimTime::from_seconds(n * 100),
@@ -714,17 +724,17 @@ fn malformed_body_is_400() {
 fn request_counters_attribute_to_user_shards() {
     let c = cloud();
     let now = SimTime::EPOCH;
-    let t0 = register(&c, 0, now); // UserId(0) → shard 0
-    let t1 = register(&c, 1, now); // UserId(1) → shard 1
+    let t0 = register(&c, 0, now);
+    let t1 = register(&c, 1, now);
     assert_eq!(c.total_requests(), 0, "registration is unauthenticated");
     for _ in 0..3 {
         c.handle(&Request::get("/api/v1/places").with_token(&t0), now);
     }
     c.handle(&Request::get("/api/v1/places").with_token(&t1), now);
-    let counts = c.shard_request_counts();
-    assert_eq!(counts.len(), SHARD_COUNT);
-    assert_eq!(counts[0], 3);
-    assert_eq!(counts[1], 1);
+    let mut expected = vec![0; SHARD_COUNT];
+    expected[(user_of(0).0 % SHARD_COUNT as u64) as usize] += 3;
+    expected[(user_of(1).0 % SHARD_COUNT as u64) as usize] += 1;
+    assert_eq!(c.shard_request_counts(), expected);
     assert_eq!(c.total_requests(), 4);
 }
 
@@ -748,11 +758,18 @@ fn registrations_count_under_the_register_endpoint_label() {
         snap.counter_value("cloud_requests_total{endpoint=\"places_list\"}"),
         1
     );
-    // Shard attribution stays out of the shared registry (its labels
-    // depend on registration order, which is racy under threads).
+    // Shard attribution lands in the same registry (user ids, and so
+    // shards, derive from device identity) and matches the legacy view.
+    let shard = (user_of(0).0 % SHARD_COUNT as u64) as usize;
+    assert_eq!(
+        snap.counter_value(&format!(
+            "cloud_shard_requests_total{{shard=\"{shard:02}\"}}"
+        )),
+        1
+    );
     assert_eq!(
         snap.counter_sum_with_prefix("cloud_shard_requests_total"),
-        0
+        c.total_requests()
     );
 }
 

@@ -11,8 +11,8 @@ use std::path::PathBuf;
 
 use pmware_algorithms::signature::DiscoveredPlaceId;
 use pmware_cloud::{
-    BalancePolicy, CellDatabase, CloudEndpoint, CloudInstance, ContactEntry, MobilityProfile,
-    PlaceEntry, Request, StorageConfig, TopologyRouter, UserId,
+    BalancePolicy, CellDatabase, CloudEndpoint, CloudInstance, ContactEntry, DeviceIdentity,
+    MobilityProfile, PlaceEntry, Request, StorageConfig, TopologyRouter, UserId,
 };
 use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
@@ -39,6 +39,14 @@ fn register(cloud: &CloudInstance, n: u32, now: SimTime) -> String {
     );
     assert!(resp.is_success(), "{resp:?}");
     resp.json()["token"].as_str().unwrap().to_owned()
+}
+
+/// The id [`register`] gives device `n`: a hash of its identity.
+fn user_of(n: u32) -> UserId {
+    UserId::of(&DeviceIdentity {
+        imei: format!("imei-{n}"),
+        email: format!("u{n}@x.com"),
+    })
 }
 
 /// An oscillating GSM stream (the GCA test shape), offset per user and
@@ -204,6 +212,50 @@ fn durable_replay_after_crash_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A token that a refresh rotated away stays dead across a crash.
+/// Recovery restores each token generation with the expiry its latest
+/// grant record gives it, so the refresh's revocation survives and the new
+/// token keeps its original expiry.
+#[test]
+fn recovery_does_not_revive_a_refreshed_away_token() {
+    let dir = scratch_dir("revived");
+    let config = StorageConfig {
+        store_dir: Some(dir.clone()),
+        ..StorageConfig::default()
+    };
+    let cloud = CloudInstance::new(CellDatabase::new(), 42).with_storage(config.clone());
+    let old = register(&cloud, 0, SimTime::EPOCH);
+    let refreshed_at = SimTime::from_seconds(3_600);
+    let resp = cloud.handle(
+        &Request::post("/api/v1/token/refresh", json!({})).with_token(&old),
+        refreshed_at,
+    );
+    assert!(resp.is_success(), "{resp:?}");
+    let new = resp.json()["token"].as_str().unwrap().to_owned();
+    let expires_at = resp.json()["expires_at"].as_u64().unwrap();
+    assert_eq!(expires_at, 3_600 + 24 * 3_600);
+    let status = |cloud: &CloudInstance, token: &str, at: SimTime| {
+        cloud
+            .handle(&Request::get("/api/v1/places").with_token(token), at)
+            .status
+    };
+    assert_eq!(status(&cloud, &old, refreshed_at), 401);
+    drop(cloud);
+
+    let now = SimTime::from_seconds(2 * 3_600);
+    let recovered = CloudInstance::recover(CellDatabase::new(), 42, config, now);
+    assert_eq!(status(&recovered, &old, now), 401, "old token revived");
+    assert_eq!(status(&recovered, &new, now), 200);
+    let last_valid = SimTime::from_seconds(expires_at - 1);
+    assert_eq!(status(&recovered, &new, last_valid), 200);
+    assert_eq!(
+        status(&recovered, &new, SimTime::from_seconds(expires_at)),
+        401,
+        "the new token keeps its original expiry"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// LRU eviction is deterministic: oldest sim-time access stamp first,
 /// user-id tie-break — so two identical single-threaded drives evict the
 /// same users in the same order.
@@ -223,17 +275,22 @@ fn lru_eviction_is_deterministic_with_user_id_tie_break() {
     };
     let a = drive();
     assert_eq!(a.eviction_count(), 1);
+    let (smaller, larger) = if user_of(0) < user_of(1) {
+        (user_of(0), user_of(1))
+    } else {
+        (user_of(1), user_of(0))
+    };
     assert!(
-        !a.is_resident(UserId(0)),
+        !a.is_resident(smaller),
         "tie at t=10 breaks toward the smaller user id"
     );
-    assert!(a.is_resident(UserId(1)));
-    assert!(a.is_resident(UserId(2)));
+    assert!(a.is_resident(larger));
+    assert!(a.is_resident(user_of(2)));
     let b = drive();
     assert_eq!(a.eviction_count(), b.eviction_count());
     assert_eq!(a.hydration_count(), b.hydration_count());
-    for user in 0..3 {
-        assert_eq!(a.is_resident(UserId(user)), b.is_resident(UserId(user)));
+    for n in 0..3 {
+        assert_eq!(a.is_resident(user_of(n)), b.is_resident(user_of(n)));
     }
 }
 
@@ -302,7 +359,7 @@ fn failover_of_an_evicted_user_hydrates_then_migrates() {
         now,
     );
     assert!(resp.is_success(), "{resp:?}");
-    let user0 = UserId(0);
+    let user0 = user_of(0);
     assert!(clouds[0].is_resident(user0));
 
     let endpoint1 = CloudEndpoint::new(router.endpoint());

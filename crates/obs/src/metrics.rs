@@ -18,8 +18,8 @@
 //! Labels are baked into the registry key at resolution time. Callers are
 //! expected to keep cardinality bounded and deterministic: participant
 //! indices (`user="p0007"`), interface names, endpoint names, fault
-//! kinds. Nothing derived from racy state (server-side user-id
-//! assignment, thread ids) may appear in a label — see DESIGN.md § 5e.
+//! kinds. Nothing derived from racy state (thread ids, arrival order)
+//! may appear in a label — see DESIGN.md § 5e.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};

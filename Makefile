@@ -1,6 +1,6 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt loc chaos bench bench-gca bench-smoke bench-wire bench-federation bench-latency bench-storage lint-wire lint-latency lint-storage obs test-federation test-storage
+.PHONY: verify build test clippy fmt loc chaos bench bench-gca bench-smoke bench-wire bench-federation bench-latency bench-storage lint-wire lint-latency lint-storage obs test-federation test-storage test-perfbench
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
@@ -13,8 +13,10 @@
 # keeps real time out of simulation code, and the latency soak with its
 # built-in shed/convergence gates, and the storage gate (durable
 # crash-recovery goldens, the residency lint, and the RSS/hydration/
-# recovery soak with its built-in capped-below-uncapped assertion).
-verify: build test clippy fmt lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage
+# recovery soak with its built-in capped-below-uncapped assertion), and
+# the benchmark harness's own tests, which also prove it still compiles
+# against the crates' public API.
+verify: build test clippy fmt lint-wire lint-latency lint-storage chaos obs test-federation test-storage test-perfbench bench-smoke bench-latency bench-storage
 
 build:
 	cargo build --release --workspace
@@ -86,13 +88,11 @@ lint-wire:
 
 # The wall-clock lint: the request latency model (DESIGN.md §5j) is
 # sim-time only, so no simulation code may read a real clock. The only
-# sanctioned wall-clock readers are the feature-gated profiler
-# (crates/obs/src/profiling.rs, `wallclock` feature) and the
-# throughput/overhead bench binaries in crates/bench/src/bin, which
-# measure wall time on purpose.
+# sanctioned wall-clock readers are the throughput/overhead bench
+# binaries in crates/bench/src/bin, which measure wall time on purpose.
 lint-latency:
 	@! grep -rn 'std::time::\(Instant\|SystemTime\)' crates \
-		--include='*.rs' --exclude-dir=bin --exclude=profiling.rs \
+		--include='*.rs' --exclude-dir=bin \
 		|| { echo 'lint-latency: wall-clock time crept into simulation code'; exit 1; }
 	@echo 'lint-latency: ok'
 
@@ -147,6 +147,12 @@ lint-storage:
 		--include='*.rs' | grep -v 'src/storage/' \
 		|| { echo 'lint-storage: UserStore access leaked around the storage engine'; exit 1; }
 	@echo 'lint-storage: ok'
+
+# The benchmark harness (perfbench/, a Cargo workspace of its own) builds
+# against the crates by path; its tests run tiny versions of every
+# workload, so an API change that breaks the benchmark fails here.
+test-perfbench:
+	cargo test --release --manifest-path perfbench/Cargo.toml
 
 # The observability gate: golden determinism tests (same seed => byte-
 # identical metrics snapshot and trace JSONL, at any thread count; obs

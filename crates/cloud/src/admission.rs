@@ -196,12 +196,6 @@ impl AdmissionControl {
         self.enabled.store(true, Ordering::SeqCst);
     }
 
-    /// Disables admission control (buckets are dropped).
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::SeqCst);
-        self.state.lock().buckets.clear();
-    }
-
     /// Whether the controller is currently enabled.
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::SeqCst)
@@ -397,25 +391,5 @@ mod tests {
             }
         }
         assert!(denies > 0, "schedule never outpaced the budget");
-    }
-
-    #[test]
-    fn disable_resets_buckets() {
-        let ac = AdmissionControl::default();
-        ac.enable(AdmissionConfig::uniform(1, budget(1, 60)));
-        let t = SimTime::EPOCH;
-        assert_eq!(ac.admit(UserId(0), RateClass::Ingest, t), Admission::Admit);
-        assert!(matches!(
-            ac.admit(UserId(0), RateClass::Ingest, t),
-            Admission::Deny { .. }
-        ));
-        ac.disable();
-        assert_eq!(ac.admit(UserId(0), RateClass::Ingest, t), Admission::Admit);
-        ac.enable(AdmissionConfig::uniform(1, budget(1, 60)));
-        assert_eq!(
-            ac.admit(UserId(0), RateClass::Ingest, t),
-            Admission::Admit,
-            "fresh bucket"
-        );
     }
 }

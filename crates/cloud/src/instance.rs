@@ -17,7 +17,8 @@
 //!   ([`crate::layer`]), bottoming out in the route-table dispatcher
 //!   ([`crate::router`]);
 //! * **construction and accessors** — builders (`with_obs`,
-//!   `with_admission`) plus the snapshot views tests and benches read.
+//!   `with_storage`), the one-way `set_*` enables, plus the snapshot
+//!   views tests and benches read.
 //!
 //! Concurrency model (unchanged from the pre-stack revisions): per-user
 //! state lives in [`SHARD_COUNT`] lock shards keyed by `UserId`, the
@@ -128,7 +129,7 @@ impl CloudInstance {
             tokens: RwLock::new(TokenStore::new(SimDuration::from_hours(24), seed)),
             storage: StorageEngine::new(),
             cells,
-            gca_config: RwLock::new(GcaConfig::default()),
+            gca_config: GcaConfig::default(),
             outage: AtomicBool::new(false),
             admission: Default::default(),
             latency: Default::default(),
@@ -213,20 +214,6 @@ impl CloudInstance {
         Self::assemble(core)
     }
 
-    /// Enables the deterministic admission controller with `config`, as a
-    /// builder. Off by default; see [`CloudInstance::set_admission`].
-    pub fn with_admission(self, config: AdmissionConfig) -> CloudInstance {
-        self.set_admission(Some(config));
-        self
-    }
-
-    /// Enables the sim-time latency model with `profile`, as a builder.
-    /// Off by default; see [`CloudInstance::set_latency`].
-    pub fn with_latency(self, profile: LatencyProfile) -> CloudInstance {
-        self.set_latency(Some(profile));
-        self
-    }
-
     /// Enables the storage engine with `config`, as a builder. Off by
     /// default; see [`CloudInstance::set_storage`].
     pub fn with_storage(self, config: StorageConfig) -> CloudInstance {
@@ -234,21 +221,19 @@ impl CloudInstance {
         self
     }
 
-    /// Enables (`Some`) or disables (`None`) the storage engine at
-    /// runtime: LRU residency under `resident_cap`, the durable WAL and
-    /// on-disk snapshots under `store_dir`, and the day-cadence
-    /// snapshot+compaction sweep. Enabling binds the
-    /// `cloud_store_resident_users` gauge and the eviction/hydration
+    /// Enables the storage engine with `config`: LRU residency under
+    /// `resident_cap`, the durable WAL and on-disk snapshots under
+    /// `store_dir`, and the day-cadence snapshot+compaction sweep.
+    /// Enabling is one-way; `None` leaves the engine as it is. It binds
+    /// the `cloud_store_resident_users` gauge and the eviction/hydration
     /// counters to the instance's registry — call after
-    /// [`CloudInstance::with_obs`] so they land in the shared one.
-    /// Disabling re-hydrates every parked snapshot back into RAM.
-    /// Disabled (the default) the engine is byte-identical to the
-    /// historical in-RAM store path.
+    /// [`CloudInstance::with_obs`] so they land in the shared one. Off
+    /// (the default) the engine is byte-identical to the historical
+    /// in-RAM store path.
     pub fn set_storage(&self, config: Option<StorageConfig>) {
-        let gca = self.core.gca_config.read().clone();
-        self.core
-            .storage
-            .configure(config, &self.core.metrics.obs, &gca);
+        if let Some(config) = config {
+            self.core.storage.enable(config, &self.core.metrics.obs);
+        }
     }
 
     /// Rebuilds an instance from a durable store directory after a crash.
@@ -330,17 +315,16 @@ impl CloudInstance {
         self.core.storage.hydration_count()
     }
 
-    /// Enables (`Some`) or disables (`None`) the sim-time latency model
-    /// at runtime. Enabling resets all queues and binds the
-    /// `cloud_request_latency_us{endpoint,class}` histograms and the
-    /// `cloud_queue_shed_total` counter to the instance's registry — call
-    /// after [`CloudInstance::with_obs`] so they land in the shared one.
-    /// Disabled (the default) the model adds zero metric keys and zero
+    /// Enables the sim-time latency model with `profile`. Enabling is
+    /// one-way; `None` leaves the model as it is. It resets all queues and
+    /// binds the `cloud_request_latency_us{endpoint,class}` histograms and
+    /// the `cloud_queue_shed_total` counter to the instance's registry —
+    /// call after [`CloudInstance::with_obs`] so they land in the shared
+    /// one. Off (the default) the model adds zero metric keys and zero
     /// cost beyond one atomic load per request.
     pub fn set_latency(&self, profile: Option<LatencyProfile>) {
-        match profile {
-            Some(profile) => self.core.latency.enable(profile, &self.core.metrics.obs),
-            None => self.core.latency.disable(),
+        if let Some(profile) = profile {
+            self.core.latency.enable(profile, &self.core.metrics.obs);
         }
     }
 
@@ -363,13 +347,13 @@ impl CloudInstance {
         self.core.latency.shed_count()
     }
 
-    /// Enables (`Some`) or disables (`None`) admission control at
-    /// runtime. Enabling resets all token buckets; requests over budget
-    /// are answered 429 with a `retry_after_s` hint.
+    /// Enables admission control with `config`. Enabling is one-way;
+    /// `None` leaves the controller as it is. It resets all token
+    /// buckets; requests over budget are answered 429 with a
+    /// `retry_after_s` hint.
     pub fn set_admission(&self, config: Option<AdmissionConfig>) {
-        match config {
-            Some(config) => self.core.admission.enable(config),
-            None => self.core.admission.disable(),
+        if let Some(config) = config {
+            self.core.admission.enable(config);
         }
     }
 
@@ -384,19 +368,6 @@ impl CloudInstance {
     /// Whether an outage is currently injected.
     pub fn outage(&self) -> bool {
         self.core.outage()
-    }
-
-    /// Overrides the GCA configuration used by the discovery offload.
-    ///
-    /// Per-user incremental engines were built under the old parameters,
-    /// so they are dropped; each user's next offload starts a fresh
-    /// engine (intended as a deployment-setup call, not a hot reconfig).
-    pub fn set_gca_config(&self, config: GcaConfig) {
-        *self.core.gca_config.write() = config;
-        // The config write lock is released before any user lock is taken
-        // (same lock-order rule as the discover endpoint). The engine
-        // invalidates resident *and* parked (snapshotted) engines.
-        self.core.storage.invalidate_gca();
     }
 
     /// Number of registered users.

@@ -302,15 +302,6 @@ impl LatencyControl {
         self.enabled.store(true, Ordering::SeqCst);
     }
 
-    /// Disables the model (queues are dropped; already-recorded metric
-    /// keys keep their values, like every other registry counter).
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::SeqCst);
-        let mut state = self.state.lock();
-        state.lanes.clear();
-        state.shared = Lane::default();
-    }
-
     /// Whether the model is currently enabled.
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::SeqCst)

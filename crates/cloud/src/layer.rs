@@ -104,10 +104,9 @@ impl Layer for OutageLayer {
     }
 }
 
-/// Per-endpoint request counting (and, in bench builds, wall-clock
-/// latency). Sits above admission and auth so that shed and rejected
-/// requests are still visible in `cloud_requests_total` — they cost the
-/// server work too.
+/// Per-endpoint request counting. Sits above admission and auth so that
+/// shed and rejected requests are still visible in
+/// `cloud_requests_total` — they cost the server work too.
 #[derive(Debug)]
 pub(crate) struct RequestMetricsLayer {
     pub(crate) core: Arc<CloudCore>,
@@ -117,12 +116,7 @@ impl Layer for RequestMetricsLayer {
     fn call(&self, request: &Request, now: SimTime, next: Next<'_>) -> Response {
         let endpoint = router::endpoint_index(request.method, &request.path);
         self.core.metrics.endpoint_requests[endpoint].inc();
-        #[cfg(feature = "wallclock")]
-        let timer = pmware_obs::profiling::WallTimer::start();
-        let response = next.run(request, now);
-        #[cfg(feature = "wallclock")]
-        timer.record(&self.core.metrics.endpoint_nanos[endpoint]);
-        response
+        next.run(request, now)
     }
 }
 

@@ -86,8 +86,8 @@ pub struct DiscoverBody {
     #[serde(default)]
     pub batch: Option<ObservationBatch>,
     /// Stream offset of the first observation in the client's full GSM
-    /// log. When present the endpoint is idempotent: already-absorbed
-    /// prefixes are skipped. Absent for legacy (unsequenced) clients.
+    /// log: already-absorbed prefixes are skipped, so the endpoint is
+    /// idempotent. Absent, the batch continues at the server's watermark.
     #[serde(default)]
     pub start: Option<u64>,
 }
@@ -148,9 +148,10 @@ pub struct SyncProfileBody {
 pub struct SyncContactsBody {
     /// Encounter entries to append.
     pub contacts: Vec<ContactEntry>,
-    /// Stream offset of `contacts[0]` in the client's encounter stream.
-    /// When present the endpoint deduplicates re-sent prefixes and the
-    /// response carries `acked_upto` so the client can drain its buffer.
+    /// Stream offset of `contacts[0]` in the client's encounter stream:
+    /// the endpoint deduplicates re-sent prefixes, and the response
+    /// carries `acked_upto` so the client can drain its buffer. Absent,
+    /// the entries continue at the server's watermark.
     #[serde(default)]
     pub first_seq: Option<u64>,
 }

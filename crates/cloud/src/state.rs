@@ -104,9 +104,6 @@ pub(crate) struct CloudMetrics {
     pub(crate) cache_misses: Counter,
     /// Admission-control denials, per rate class.
     pub(crate) admission_denied: Vec<Counter>,
-    /// Wall-clock latency per endpoint, bench builds only.
-    #[cfg(feature = "wallclock")]
-    pub(crate) endpoint_nanos: Vec<pmware_obs::Histogram>,
 }
 
 impl CloudMetrics {
@@ -130,17 +127,6 @@ impl CloudMetrics {
             .iter()
             .map(|class| obs.counter("cloud_admission_denied_total", &[("class", class.label())]))
             .collect();
-        #[cfg(feature = "wallclock")]
-        let endpoint_nanos = ENDPOINT_LABELS
-            .iter()
-            .map(|label| {
-                obs.histogram(
-                    "cloud_endpoint_nanos",
-                    &[("endpoint", label)],
-                    &pmware_obs::profiling::NANO_BOUNDS,
-                )
-            })
-            .collect();
         CloudMetrics {
             shard_requests,
             endpoint_requests,
@@ -153,8 +139,6 @@ impl CloudMetrics {
             cache_hits: obs.counter("cloud_analytics_cache_total", &[("result", "hit")]),
             cache_misses: obs.counter("cloud_analytics_cache_total", &[("result", "miss")]),
             admission_denied,
-            #[cfg(feature = "wallclock")]
-            endpoint_nanos,
             obs,
         }
     }
@@ -197,7 +181,7 @@ pub(crate) struct CloudCore {
     /// the LRU residency manager. See [`crate::storage`].
     pub(crate) storage: StorageEngine,
     pub(crate) cells: CellDatabase,
-    pub(crate) gca_config: RwLock<GcaConfig>,
+    pub(crate) gca_config: GcaConfig,
     pub(crate) outage: AtomicBool,
     pub(crate) admission: AdmissionControl,
     /// The sim-time latency model: per-endpoint service draws, queueing,

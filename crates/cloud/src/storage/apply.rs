@@ -57,8 +57,8 @@ pub(crate) struct ContactsOutcome {
 }
 
 /// Folds a GSM observation batch into the store's incremental engine
-/// (the `POST /api/v1/places/discover` core). `Err` is the decode failure
-/// message for an invalid compressed batch.
+/// (the `POST /api/v1/places/discover` core). `Err` is the 400 message
+/// for an invalid compressed batch or an out-of-order unseen tail.
 pub(crate) fn apply_discover(
     store: &mut UserStore,
     config: &GcaConfig,
@@ -79,49 +79,44 @@ pub(crate) fn apply_discover(
         },
         None => &body.observations,
     };
-    let mut replayed = false;
-    match body.start {
-        Some(start) => {
-            // Sequenced offload: `start` is the batch's offset in the
-            // client's observation stream. A duplicated or retried
-            // delivery re-sends a prefix the engine already absorbed —
-            // skip it; only the unseen tail is folded in. A start past
-            // the watermark means the server lost its engine (config
-            // reset): restart from this batch, which is authoritative.
-            let len = observations.len() as u64;
-            if start > store.absorbed_upto || store.gca.is_none() {
-                store.gca = Some(IncrementalGca::new(config.clone()));
-                store.absorbed_upto = start;
-            }
-            let skip = (store.absorbed_upto - start) as usize;
-            replayed = skip > 0;
-            if (skip as u64) < len {
-                store.absorbed_upto = start + len;
-                let engine = store.gca.as_mut().expect("engine ensured above");
-                engine.absorb(&observations[skip..]);
-                store.places = engine.places().places;
-            }
-        }
-        None => {
-            // Legacy unsequenced offload: a batch that rewinds behind the
-            // absorbed stream means the client restarted or re-sent
-            // history — start over from exactly this batch. Otherwise
-            // fold the suffix into the accumulated engine.
-            let rewinds = match (&store.gca, observations.first()) {
-                (Some(engine), Some(first)) => engine.last_time().is_some_and(|t| first.time < t),
-                _ => false,
-            };
-            if rewinds || store.gca.is_none() {
-                store.gca = Some(IncrementalGca::new(config.clone()));
-                store.absorbed_upto = 0;
-            }
-            store.absorbed_upto += observations.len() as u64;
-            let engine = store.gca.as_mut().expect("engine ensured above");
-            engine.absorb(observations);
-            store.places = engine.places().places;
-        }
+    // `start` is the batch's offset in the client's observation stream;
+    // an unsequenced body continues at the watermark. A duplicated or
+    // retried delivery re-sends a prefix the engine already absorbed —
+    // skip it; only the unseen tail is folded in. A start past the
+    // watermark means the server lost its engine: restart from this
+    // batch, which is authoritative.
+    let start = body.start.unwrap_or(store.absorbed_upto);
+    let restart = start > store.absorbed_upto || store.gca.is_none();
+    let skip = if restart {
+        0
+    } else {
+        (store.absorbed_upto - start) as usize
+    };
+    let tail = observations.get(skip..).unwrap_or_default();
+    // The engine absorbs only time-ordered suffixes that continue its
+    // log; anything else is refused before the store is touched.
+    let last = match &store.gca {
+        Some(engine) if !restart => engine.last_time(),
+        _ => None,
+    };
+    let continues = match (last, tail.first()) {
+        (Some(last), Some(first)) => last <= first.time,
+        _ => true,
+    };
+    if !continues || !tail.windows(2).all(|w| w[0].time <= w[1].time) {
+        return Err("invalid batch: observations out of order".to_owned());
     }
-    Ok(DiscoverOutcome { replayed })
+    if restart {
+        store.gca = Some(IncrementalGca::new(config.clone()));
+        store.absorbed_upto = start;
+    }
+    if !tail.is_empty() {
+        store.absorbed_upto = start + observations.len() as u64;
+        let engine = store.gca.as_mut().expect("engine ensured above");
+        engine.absorb(tail);
+        store.places = engine.places().places;
+    }
+    Ok(DiscoverOutcome { replayed: skip > 0 })
 }
 
 /// Full replacement of the stored places, sequence-guarded (the
@@ -205,37 +200,27 @@ pub(crate) fn apply_profiles_sync(store: &mut UserStore, body: &SyncProfileBody)
 /// Appends encounters, deduplicating re-sent prefixes through the stream
 /// watermark (the `POST /api/v1/social/sync` core).
 pub(crate) fn apply_social_sync(store: &mut UserStore, body: &SyncContactsBody) -> ContactsOutcome {
-    let mut replayed = false;
-    match body.first_seq {
-        Some(first_seq) => {
-            // Sequenced sync: skip the prefix already absorbed (a retried
-            // buffer re-sends from its unacknowledged base), append only
-            // unseen entries, and acknowledge the new watermark so the
-            // client can drain its buffer. A base past the watermark
-            // means the server lost state — absorb everything and resync.
-            let len = body.contacts.len() as u64;
-            if first_seq > store.contacts_absorbed {
-                store.contacts_absorbed = first_seq;
-            }
-            let skip = (store.contacts_absorbed - first_seq) as usize;
-            replayed = skip > 0;
-            if (skip as u64) < len {
-                store
-                    .contacts
-                    .extend(body.contacts.iter().skip(skip).cloned());
-                store.contacts_absorbed = first_seq + len;
-            }
-        }
-        None => {
-            // Legacy blind extend.
-            store.contacts_absorbed += body.contacts.len() as u64;
-            store.contacts.extend(body.contacts.iter().cloned());
-        }
+    // Skip the prefix already absorbed (a retried buffer re-sends from
+    // its unacknowledged base), append only unseen entries, and
+    // acknowledge the new watermark so the client can drain its buffer.
+    // An unsequenced body continues at the watermark; a base past it
+    // means the server lost state — absorb everything and resync.
+    let first_seq = body.first_seq.unwrap_or(store.contacts_absorbed);
+    let len = body.contacts.len() as u64;
+    if first_seq > store.contacts_absorbed {
+        store.contacts_absorbed = first_seq;
+    }
+    let skip = (store.contacts_absorbed - first_seq) as usize;
+    if (skip as u64) < len {
+        store
+            .contacts
+            .extend(body.contacts.iter().skip(skip).cloned());
+        store.contacts_absorbed = first_seq + len;
     }
     ContactsOutcome {
         stored: store.contacts.len(),
         acked_upto: store.contacts_absorbed,
-        replayed,
+        replayed: skip > 0,
     }
 }
 

@@ -1,9 +1,10 @@
 //! The cloud storage engine: WAL, compacted snapshots, LRU residency.
 //!
 //! Every [`UserStore`] access in the cloud flows through this subsystem
-//! (enforced by `make lint-storage`). Disabled — the default — it is the
-//! old sharded in-RAM map behind one atomic load, byte-identical to the
-//! pre-engine behavior. Enabled via [`StorageConfig`] it adds, in
+//! (enforced by `make lint-storage`). Off — the default — it is the old
+//! sharded in-RAM map behind one atomic load, byte-identical to the
+//! pre-engine behavior. Enabled via [`StorageConfig`] (one-way: an
+//! enabled engine stays on for the instance's lifetime) it adds, in
 //! composable pieces:
 //!
 //! * **Residency cap** (`resident_cap`): at most K stores live in RAM.
@@ -25,8 +26,7 @@
 //!   rewrites the shard files.
 //!
 //! Lock order, engine-wide: residency mutex → shard `RwLock` → store
-//! mutex → WAL mutex → snapshot-store mutex. The GCA config lock is
-//! always cloned *before* any of these is taken. [`StoreGuard::drop`]
+//! mutex → WAL mutex → snapshot-store mutex. [`StoreGuard::drop`]
 //! takes the residency mutex, which is safe because the store mutex a
 //! guard hands out is always released before the guard itself drops
 //! (later bindings and later temporaries drop first).
@@ -69,15 +69,6 @@ pub(crate) use snapshot::fnv64;
 /// benches that talk to stores directly).
 fn fallback_key(user: UserId) -> String {
     format!("uid:{:08}", user.0)
-}
-
-/// The user a snapshot key belongs to: the inverse of [`fallback_key`],
-/// else the identity hash. Identity keys always contain `|`, so they
-/// never parse as a fallback key.
-fn user_of_key(key: &str) -> UserId {
-    key.strip_prefix("uid:")
-        .and_then(|raw| raw.parse().ok())
-        .map_or_else(|| UserId::of_key(key), UserId)
 }
 
 /// Storage engine configuration. All pieces are optional and composable;
@@ -244,7 +235,8 @@ pub(crate) struct StorageEngine {
 }
 
 impl StorageEngine {
-    /// A disabled engine over empty shards (the default construction).
+    /// An engine that is off, over empty shards (the default
+    /// construction).
     pub(crate) fn new() -> StorageEngine {
         StorageEngine {
             inner: Arc::new(EngineInner {
@@ -303,24 +295,10 @@ impl StorageEngine {
         self.inner.keys.write().insert(user, key.to_owned());
     }
 
-    /// Enables (`Some`) or disables (`None`) the engine at runtime.
-    /// Enabling binds the residency metrics to `obs` — call after
-    /// `with_obs` so they land in the shared registry. Disabling
-    /// re-hydrates every parked snapshot back into RAM (using
-    /// `gca_config` for engine rebuilds) and clears all engine state.
-    pub(crate) fn configure(
-        &self,
-        config: Option<StorageConfig>,
-        obs: &Obs,
-        gca_config: &GcaConfig,
-    ) {
-        match config {
-            Some(config) => self.enable(config, obs),
-            None => self.disable(gca_config),
-        }
-    }
-
-    fn enable(&self, config: StorageConfig, obs: &Obs) {
+    /// Enables the engine with `config`, for good, and binds the
+    /// residency metrics to `obs` — call after `with_obs` so they land in
+    /// the shared registry. Stores already resident join the LRU.
+    pub(crate) fn enable(&self, config: StorageConfig, obs: &Obs) {
         {
             let mut wal = self.inner.wal.lock();
             if let Some(dir) = &config.store_dir {
@@ -356,40 +334,6 @@ impl StorageEngine {
         }
         self.inner.metrics.read().resident.set(res.len() as i64);
         self.enforce_cap(&mut res);
-    }
-
-    fn disable(&self, gca_config: &GcaConfig) {
-        if !self.inner.enabled.swap(false, Ordering::SeqCst) {
-            return;
-        }
-        // Bring every parked user back to RAM: the disabled engine has no
-        // hydration path, so state must not stay stranded in snapshots.
-        for key in self.inner.snapshots.keys() {
-            let user = user_of_key(&key);
-            let shard = self.shard(user);
-            if shard.users.read().contains_key(&user) {
-                continue;
-            }
-            let (store, _, _) = self.hydrate_build(&key, gca_config);
-            shard
-                .users
-                .write()
-                .insert(user, Arc::new(Mutex::new(store)));
-        }
-        for key in self.inner.snapshots.keys() {
-            self.inner.snapshots.remove(&key);
-        }
-        // Keep pin counts: outstanding guards from the enabled era still
-        // unpin on drop.
-        self.inner.residency.lock().reset_lru();
-        {
-            let mut wal = self.inner.wal.lock();
-            *wal = WalState {
-                files: (0..SHARD_COUNT).map(|_| None).collect(),
-                ..WalState::default()
-            };
-        }
-        *self.inner.metrics.write() = StorageMetrics::default();
     }
 
     /// Clock tick + periodic compaction hook, called once per handled
@@ -449,12 +393,7 @@ impl StorageEngine {
     /// Acquires `user`'s store, hydrating or creating it as needed and
     /// stamping the LRU with `now`. The returned guard pins the user
     /// against eviction until dropped.
-    pub(crate) fn acquire(
-        &self,
-        user: UserId,
-        now: SimTime,
-        gca_config: &RwLock<GcaConfig>,
-    ) -> StoreGuard {
+    pub(crate) fn acquire(&self, user: UserId, now: SimTime, gca_config: &GcaConfig) -> StoreGuard {
         if !self.inner.enabled.load(Ordering::SeqCst) {
             return StoreGuard {
                 store: self.store_fast(user),
@@ -479,11 +418,9 @@ impl StorageEngine {
                 res.remove(user);
             }
         }
-        // Slow path: hydrate or create. The GCA config is cloned with no
-        // engine lock held (lock-order rule).
+        // Slow path: hydrate or create.
         let key = self.key_of(user);
-        let config = gca_config.read().clone();
-        let (store, hydrated, replayed) = self.hydrate_build(&key, &config);
+        let (store, hydrated, replayed) = self.hydrate_build(&key, gca_config);
         let mut res = self.inner.residency.lock();
         if res.contains(user) {
             // Lost the insert race: use the winner's store.
@@ -708,7 +645,7 @@ impl StorageEngine {
     }
 
     /// Whether `user`'s store is resident (always true for a touched user
-    /// while the engine is disabled).
+    /// while the engine is off).
     pub(crate) fn is_resident(&self, user: UserId) -> bool {
         if self.is_enabled() {
             self.inner.residency.lock().contains(user)
@@ -717,30 +654,14 @@ impl StorageEngine {
         }
     }
 
-    /// Users evicted so far (0 while disabled).
+    /// Users evicted so far (0 while off).
     pub(crate) fn eviction_count(&self) -> u64 {
         self.inner.metrics.read().evictions.get()
     }
 
-    /// Hydrations performed so far (0 while disabled).
+    /// Hydrations performed so far (0 while off).
     pub(crate) fn hydration_count(&self) -> u64 {
         self.inner.metrics.read().hydrations.get()
-    }
-
-    /// Drops every cached discovery engine, resident and parked (GCA
-    /// config change).
-    pub(crate) fn invalidate_gca(&self) {
-        for shard in &self.inner.shards {
-            let stores: Vec<_> = shard.users.read().values().cloned().collect();
-            for store in stores {
-                store.lock().gca = None;
-            }
-        }
-        for key in self.inner.snapshots.keys() {
-            self.inner
-                .snapshots
-                .edit_snapshot(&key, UserSnapshot::clear_gca);
-        }
     }
 }
 
@@ -752,14 +673,10 @@ mod tests {
         StorageEngine::new()
     }
 
-    fn gca_lock() -> RwLock<GcaConfig> {
-        RwLock::new(GcaConfig::default())
-    }
-
     #[test]
     fn disabled_engine_matches_legacy_store_of() {
         let engine = engine();
-        let gca = gca_lock();
+        let gca = GcaConfig::default();
         let guard = engine.acquire(UserId(3), SimTime::EPOCH, &gca);
         guard.lock().places_seq = 9;
         drop(guard);
@@ -773,14 +690,13 @@ mod tests {
     #[test]
     fn cap_evicts_lru_and_hydrates_back() {
         let engine = engine();
-        let gca = gca_lock();
-        engine.configure(
-            Some(StorageConfig {
+        let gca = GcaConfig::default();
+        engine.enable(
+            StorageConfig {
                 resident_cap: Some(2),
                 ..StorageConfig::default()
-            }),
+            },
             &Obs::new(),
-            &GcaConfig::default(),
         );
         for (i, at) in [(1u64, 10u64), (2, 20), (3, 30)] {
             let guard = engine.acquire(UserId(i), SimTime::from_seconds(at), &gca);
@@ -801,14 +717,13 @@ mod tests {
     #[test]
     fn pinned_guards_shield_from_eviction() {
         let engine = engine();
-        let gca = gca_lock();
-        engine.configure(
-            Some(StorageConfig {
+        let gca = GcaConfig::default();
+        engine.enable(
+            StorageConfig {
                 resident_cap: Some(1),
                 ..StorageConfig::default()
-            }),
+            },
             &Obs::new(),
-            &GcaConfig::default(),
         );
         let pinned = engine.acquire(UserId(1), SimTime::from_seconds(1), &gca);
         let _other = engine.acquire(UserId(2), SimTime::from_seconds(2), &gca);
@@ -818,30 +733,5 @@ mod tests {
         drop(pinned);
         let _third = engine.acquire(UserId(3), SimTime::from_seconds(3), &gca);
         assert!(!engine.is_resident(UserId(1)), "unpinned LRU evicted");
-    }
-
-    #[test]
-    fn disabling_rehydrates_parked_users() {
-        let engine = engine();
-        let gca = gca_lock();
-        engine.configure(
-            Some(StorageConfig {
-                resident_cap: Some(1),
-                ..StorageConfig::default()
-            }),
-            &Obs::new(),
-            &GcaConfig::default(),
-        );
-        {
-            let guard = engine.acquire(UserId(1), SimTime::from_seconds(1), &gca);
-            guard.lock().routes_seq = 7;
-        }
-        let _second = engine.acquire(UserId(2), SimTime::from_seconds(2), &gca);
-        assert!(!engine.is_resident(UserId(1)));
-        engine.configure(None, &Obs::new(), &GcaConfig::default());
-        // Back to plain resident maps: both users present, state intact.
-        assert_eq!(engine.resident_users(), 2);
-        let guard = engine.acquire(UserId(1), SimTime::EPOCH, &gca);
-        assert_eq!(guard.lock().routes_seq, 7);
     }
 }

@@ -116,12 +116,6 @@ impl UserSnapshot {
             routes_seq: self.routes_seq,
         }
     }
-
-    /// Drops the cached discovery engine (the GCA config changed; the
-    /// next offload rebuilds under the new parameters).
-    pub(crate) fn clear_gca(&mut self) {
-        self.gca = None;
-    }
 }
 
 /// One parked snapshot. `json` is `None` when the bytes live on disk
@@ -226,22 +220,6 @@ impl SnapshotStore {
         self.inner.lock().by_key.contains_key(key)
     }
 
-    /// Removes `key`'s snapshot (the user re-hydrated for good, e.g. the
-    /// engine is being disabled).
-    pub(crate) fn remove(&self, key: &str) {
-        let mut state = self.inner.lock();
-        if state.by_key.remove(key).is_some() {
-            if let Some(dir) = &state.dir {
-                let _ = fs::remove_file(dir.join(file_name_of(key)));
-            }
-        }
-    }
-
-    /// Snapshot keys currently parked, in key order.
-    pub(crate) fn keys(&self) -> Vec<String> {
-        self.inner.lock().by_key.keys().cloned().collect()
-    }
-
     /// Per-key WAL watermarks — what compaction may drop.
     pub(crate) fn watermarks(&self) -> HashMap<String, u64> {
         self.inner
@@ -284,20 +262,6 @@ impl SnapshotStore {
                 },
             );
         }
-    }
-
-    /// Rewrites `key`'s parked snapshot in place through `edit` (the GCA
-    /// config-change invalidation path). No-op for absent keys.
-    pub(crate) fn edit_snapshot(&self, key: &str, edit: impl FnOnce(&mut UserSnapshot)) {
-        let Some((wal_seq, json)) = self.get(key) else {
-            return;
-        };
-        let Ok(mut parsed) = serde_json::from_str::<UserSnapshot>(&json) else {
-            return;
-        };
-        edit(&mut parsed);
-        let json = serde_json::to_string(&parsed).expect("snapshot serializes");
-        self.put(key, wal_seq, json);
     }
 }
 
@@ -343,13 +307,12 @@ mod tests {
     }
 
     #[test]
-    fn memory_store_put_get_remove() {
+    fn memory_store_put_get() {
         let store = SnapshotStore::default();
+        assert!(store.get("k").is_none());
         store.put("k", 7, "{}".to_owned());
         assert!(store.contains("k"));
         assert_eq!(store.get("k").unwrap(), (7, "{}".to_owned()));
         assert_eq!(store.watermarks().get("k"), Some(&7));
-        store.remove("k");
-        assert!(store.get("k").is_none());
     }
 }

@@ -735,9 +735,9 @@ mod tests {
             "end": 600,
             "place": null,
         });
-        // Legacy body (no first_seq): the server extends blindly, so a
-        // duplicated delivery is visible as a doubled store — which is the
-        // hazard the sequenced path exists to remove.
+        // Unsequenced body (no first_seq): each delivery continues at the
+        // server's watermark, so a duplicate is visible as a doubled
+        // store — the hazard the sequenced body exists to remove.
         let resp = endpoint.send(
             &Request::post("/api/v1/social/sync", json!({"contacts": [contact]}))
                 .with_token(&token),

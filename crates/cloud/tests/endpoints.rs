@@ -212,7 +212,7 @@ fn discover_absorbs_suffixes_without_forgetting_places() {
 }
 
 #[test]
-fn discover_rewind_restarts_from_the_new_batch() {
+fn discover_rewind_is_refused_without_double_counting() {
     let c = cloud();
     let now = SimTime::EPOCH;
     let token = register(&c, 0, now);
@@ -231,14 +231,68 @@ fn discover_rewind_restarts_from_the_new_batch() {
         .collect();
     let req = Request::post("/api/v1/places/discover", json!({ "observations": stream }))
         .with_token(&token);
-    // Re-sending the same from-zero batch (a client that restarted and
-    // re-clusters its full log) must not double-count: the engine
-    // restarts from the rewound batch.
+    // Re-sending the same unsequenced from-zero batch (a client that
+    // restarted and re-sends its full log) continues at the watermark, so
+    // its observations rewind behind the engine's log: refused, and
+    // nothing is double-counted.
     let first = c.handle(&req, now);
+    assert!(first.is_success(), "{first:?}");
     let second = c.handle(&req, now);
-    assert!(second.is_success());
-    assert_eq!(first.body, second.body);
-    assert_eq!(second.json()["places"].as_array().unwrap().len(), 1);
+    assert_eq!(second.status, 400);
+    assert_eq!(c.observation_count(user_of(0)), 40);
+    let resp = c.handle(&Request::get("/api/v1/places").with_token(&token), now);
+    assert_eq!(resp.json()["places"].as_array().unwrap().len(), 1);
+}
+
+#[test]
+fn discover_refuses_out_of_order_tails() {
+    let c = cloud();
+    let now = SimTime::EPOCH;
+    let token = register(&c, 0, now);
+    let user = user_of(0);
+    let obs = |minute: u64| GsmObservation {
+        time: SimTime::from_seconds(minute * 60),
+        cell: CellGlobalId {
+            plmn: Plmn { mcc: 404, mnc: 45 },
+            lac: Lac(1),
+            cell: CellId(if minute % 3 == 1 { 2 } else { 1 }),
+        },
+        layer: NetworkLayer::G2,
+        rssi_dbm: -70.0,
+    };
+    let discover = |observations: &[GsmObservation], start: u64| {
+        c.handle(
+            &Request::post(
+                "/api/v1/places/discover",
+                json!({ "observations": observations, "start": start }),
+            )
+            .with_token(&token),
+            now,
+        )
+    };
+    let stored: Vec<GsmObservation> = (100..140).map(obs).collect();
+    let first = discover(&stored, 0);
+    assert!(first.is_success(), "{first:?}");
+    let places = c.places_of(user);
+    assert_eq!(places.len(), 1);
+    // An unseen tail older than the stored one must not reach the engine.
+    let older: Vec<GsmObservation> = (0..20).map(obs).collect();
+    let resp = discover(&older, 40);
+    assert_eq!(resp.status, 400, "{resp:?}");
+    assert!(
+        resp.error_message().unwrap().contains("out of order"),
+        "{resp:?}"
+    );
+    // Nor may a tail that is not time-ordered within itself.
+    let shuffled: Vec<GsmObservation> = (140..160).rev().map(obs).collect();
+    let resp = discover(&shuffled, 40);
+    assert_eq!(resp.status, 400, "{resp:?}");
+    // The store is untouched: same places, same engine, same watermark.
+    assert_eq!(c.places_of(user), places);
+    assert_eq!(c.observation_count(user), 40);
+    let resume: Vec<GsmObservation> = (140..160).map(obs).collect();
+    let resp = discover(&resume, 40);
+    assert_eq!(resp.json()["absorbed_upto"], 60);
 }
 
 #[test]
